@@ -32,6 +32,8 @@ from .network import (
     crossover,
     genome_from_json,
     genome_to_json,
+    init_weights,
+    layer_macs,
     mutate,
     validate_genome,
 )
@@ -67,7 +69,8 @@ __all__ = [
     "load_table", "save_table",
     "Genome", "GenomeError", "LayerGraph", "MutationConfig", "StageGene",
     "compile_genome", "count_macs", "count_params", "crossover",
-    "genome_from_json", "genome_to_json", "mutate", "validate_genome",
+    "genome_from_json", "genome_to_json", "init_weights", "layer_macs",
+    "mutate", "validate_genome",
     "GradientStats", "ProxyError", "ProxyScore", "ScoreSettings",
     "depth_width_penalty", "gather_gradient_stats", "make_batches",
     "parameter_hash", "score_genome", "zico_bc_score", "zico_score",

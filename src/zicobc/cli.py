@@ -76,8 +76,8 @@ def main(argv=None) -> int:
         except ManifestError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    _resolve_common(args)
     try:
+        _resolve_common(args)
         return args.func(args)
     except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -203,7 +203,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _resolve_common(args: argparse.Namespace) -> None:
     if getattr(args, "seed", None) is None:
-        args.seed = int(os.environ.get("ZICO_BC_SEED", "0"))
+        env_seed = os.environ.get("ZICO_BC_SEED", "0")
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            raise ValueError(
+                f"ZICO_BC_SEED must be an integer, got {env_seed!r}") from None
     if getattr(args, "threads", None) is None:
         args.threads = os.cpu_count() or 1
 
@@ -350,9 +355,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         generations=args.generations,
         mutation_rate=args.mutation_rate,
         crossover_rate=args.crossover_rate,
-        beta=args.beta,
-        batches=args.batches,
-        batch_size=args.batch_size,
         seed=args.seed,
         latency_ceiling_us=args.latency_ceiling_us,
     )
@@ -360,6 +362,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     settings = ScoreSettings(beta=args.beta, batches=args.batches,
                              batch_size=args.batch_size, seed=args.seed,
                              stat_mode=args.stat_mode)
+    settings.validate()
     if args.latency_table:
         table = load_table(args.latency_table, args.fallback_us_per_mac)
     else:
@@ -369,7 +372,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         return score_genome(genome, settings)
 
     def latency_fn(genome):
-        return estimate(compile_genome(genome, seed=args.seed), table).total_us
+        return estimate(compile_genome(genome), table).total_us
 
     archive, log = run_search(space, config, proxy_fn, latency_fn,
                               threads=args.threads,
@@ -402,7 +405,7 @@ def cmd_latency(args: argparse.Namespace) -> int:
         table = load_table(args.table, args.fallback_us_per_mac)
     else:
         table = LatencyTable(fallback_us_per_mac=args.fallback_us_per_mac)
-    graph = compile_genome(genome, seed=args.seed)
+    graph = compile_genome(genome)
     result = estimate(graph, table)
     inputs = [args.genome] + ([args.table] if args.table else [])
     _emit(json.dumps(result.to_json_dict(), indent=2) + "\n", args, inputs)

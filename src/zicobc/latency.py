@@ -10,9 +10,10 @@ measurement; it captures relative cost, not fused-kernel effects.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
-from .network import LayerGraph, ParamLayer
+from .network import LayerGraph, ParamLayer, layer_macs
 
 CSV_FIELDS = ("op", "cin", "cout", "hout", "wout", "k", "groups", "stride", "us")
 
@@ -36,12 +37,14 @@ class LatencyTable:
     fallback_us_per_mac: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.fallback_us_per_mac < 0:
+        if not 0 <= self.fallback_us_per_mac < math.inf:
             raise LatencyTableError(
-                f"fallback must be >= 0 us/MAC, got {self.fallback_us_per_mac}")
+                f"fallback_us_per_mac must be finite and >= 0 us/MAC, "
+                f"got {self.fallback_us_per_mac}")
         for key, us in self.entries.items():
-            if us < 0:
-                raise LatencyTableError(f"negative latency {us} for key {key}")
+            if not 0 <= us < math.inf:
+                raise LatencyTableError(f"latency must be finite and >= 0, "
+                                        f"got {us} for key {key}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -67,13 +70,6 @@ def layer_key(layer: ParamLayer) -> LatencyKey:
         return ("conv2d", layer.in_channels, c, h, w, layer.kernel,
                 layer.groups, layer.stride)
     return ("dense", layer.in_channels, c, 1, 1, 1, 1, 1)
-
-
-def layer_macs(layer: ParamLayer) -> int:
-    c, h, w = layer.out_shape
-    if layer.kind == "conv":
-        return h * w * c * (layer.in_channels // layer.groups) * layer.kernel ** 2
-    return layer.in_channels * c
 
 
 def estimate(graph: LayerGraph, table: LatencyTable) -> LatencyEstimate:
@@ -103,7 +99,8 @@ def load_table(path, fallback_us_per_mac: float = 0.0) -> LatencyTable:
     """Read a latency table from CSV; header row is mandatory.
 
     Columns: op,cin,cout,hout,wout,k,groups,stride,us. Duplicate keys and
-    negative latencies are rejected with the offending line number.
+    negative or non-finite latencies are rejected with the offending line
+    number.
     """
     entries: dict[LatencyKey, float] = {}
     with open(path, newline="") as fh:
@@ -129,9 +126,9 @@ def load_table(path, fallback_us_per_mac: float = 0.0) -> LatencyTable:
                 us = float(row[8])
             except ValueError as exc:
                 raise LatencyTableError(f"{path}:{lineno}: {exc}") from None
-            if us < 0:
+            if not 0 <= us < math.inf:
                 raise LatencyTableError(
-                    f"{path}:{lineno}: negative latency {us}")
+                    f"{path}:{lineno}: latency must be finite and >= 0, got {us}")
             if key in entries:
                 raise LatencyTableError(f"{path}:{lineno}: duplicate key {key}")
             entries[key] = us

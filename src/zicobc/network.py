@@ -5,13 +5,14 @@ blocks of two same-kernel convolutions with an identity (or 1x1
 projection) skip. ``effnet_like`` stages stack inverted-bottleneck blocks
 (1x1 expand, k x k spatial conv that may be grouped, 1x1 project) with a
 skip whenever the block keeps stride 1 and channel count. Compilation
-performs full shape bookkeeping so downstream scoring can read each
-layer's output feature map without running the network.
+builds a weightless plan with full shape bookkeeping; `init_weights`
+draws the weights that make it runnable.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,11 +60,11 @@ class Genome:
 
 @dataclass(frozen=True)
 class ParamLayer:
-    """One parameterized layer of a compiled graph (1-based index)."""
+    """One parameterized layer (1-based index); a plan's have no weight or bias."""
 
     index: int
     kind: str  # "conv" | "dense"
-    weight: Tensor
+    weight: Tensor | None
     bias: Tensor | None
     out_shape: tuple[int, int, int]  # (C, H, W); dense layers use (K, 1, 1)
     in_channels: int
@@ -80,19 +81,9 @@ class LayerGraph:
     program: list[tuple]
     input_shape: tuple[int, int, int]
     num_classes: int
-    genome: Genome | None = None
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    def forward(self, tape: Tape, x: Tensor,
-                shape_trace: dict[int, tuple[int, ...]] | None = None) -> Tensor:
-        """Run the compiled network on a batch, recording ops on the tape.
-
-        When `shape_trace` is given it receives, per parameterized layer
-        index, the actual activation shape that layer produced.
-        """
+    def forward(self, tape: Tape, x: Tensor) -> Tensor:
+        """Run the compiled network on a batch, recording ops on the tape."""
         cur = x
         stack: list[Tensor] = []
         for ins in self.program:
@@ -101,8 +92,6 @@ class LayerGraph:
                 layer = self.layers[ins[1]]
                 cur = tape.conv2d(cur, layer.weight, stride=layer.stride,
                                   padding=layer.kernel // 2, groups=layer.groups)
-                if shape_trace is not None:
-                    shape_trace[ins[1]] = cur.shape
             elif op == "relu":
                 cur = tape.relu(cur)
             elif op == "push":
@@ -113,16 +102,12 @@ class LayerGraph:
                 layer = self.layers[ins[1]]
                 skip = tape.conv2d(stack.pop(), layer.weight,
                                    stride=layer.stride, padding=0, groups=1)
-                if shape_trace is not None:
-                    shape_trace[ins[1]] = skip.shape
                 cur = tape.residual_add(cur, skip)
             elif op == "gap":
                 cur = tape.global_avg_pool(cur)
             elif op == "dense":
                 layer = self.layers[ins[1]]
                 cur = tape.dense(cur, layer.weight, layer.bias)
-                if shape_trace is not None:
-                    shape_trace[ins[1]] = cur.shape
             else:  # pragma: no cover - compile emits only the ops above
                 raise RuntimeError(f"unknown instruction {op!r}")
         return cur
@@ -160,6 +145,15 @@ def resolve_group_size(family: str, channels: int, conv_mode: str, expansion: in
         raise GenomeError(
             f"conv_mode: group requires channels divisible by 32, got {channels}")
     return EFFNET_GROUP_SIZE
+
+
+def mode_is_legal(family: str, channels: int, conv_mode: str) -> bool:
+    """Whether `resolve_group_size` accepts this stage; expansion is irrelevant."""
+    try:
+        resolve_group_size(family, channels, conv_mode, expansion=1)
+    except GenomeError:
+        return False
+    return True
 
 
 def validate_genome(genome: Genome) -> None:
@@ -286,12 +280,9 @@ def _mix(seed: int, *salts: int) -> int:
 
 
 class _GraphBuilder:
-    def __init__(self, seed: int, input_shape: tuple[int, int, int], num_classes: int):
-        self.seed = seed
+    def __init__(self) -> None:
         self.layers: list[ParamLayer] = []
         self.program: list[tuple] = []
-        self.input_shape = input_shape
-        self.num_classes = num_classes
 
     def add_conv(self, c_in: int, c_out: int, kernel: int, stride: int, groups: int,
                  h_in: int, w_in: int, emit: bool = True) -> tuple[int, int, int]:
@@ -301,13 +292,9 @@ class _GraphBuilder:
         if h_out < 1 or w_out < 1:
             raise GenomeError(
                 f"input_resolution: spatial extent underflows at layer {len(self.layers) + 1}")
-        fan_in = (c_in // groups) * kernel * kernel
-        weight = seeded_fill((c_out, c_in // groups, kernel, kernel),
-                             "kaiming_normal", _mix(self.seed, len(self.layers) + 1),
-                             fan_in=fan_in)
         idx = len(self.layers)
         self.layers.append(ParamLayer(
-            index=idx + 1, kind="conv", weight=weight, bias=None,
+            index=idx + 1, kind="conv", weight=None, bias=None,
             out_shape=(c_out, h_out, w_out), in_channels=c_in,
             groups=groups, stride=stride, kernel=kernel))
         if emit:
@@ -315,26 +302,23 @@ class _GraphBuilder:
         return idx, h_out, w_out
 
     def add_dense(self, f_in: int, f_out: int) -> None:
-        weight = seeded_fill((f_out, f_in), "kaiming_normal",
-                             _mix(self.seed, len(self.layers) + 1), fan_in=f_in)
         idx = len(self.layers)
         self.layers.append(ParamLayer(
-            index=idx + 1, kind="dense", weight=weight, bias=zeros((f_out,)),
+            index=idx + 1, kind="dense", weight=None, bias=None,
             out_shape=(f_out, 1, 1), in_channels=f_in, groups=1, stride=1, kernel=1))
         self.program.append(("dense", idx))
 
 
-def compile_genome(genome: Genome, seed: int) -> LayerGraph:
-    """Compile a genome into a layer graph with weights and shape records.
+def compile_genome(genome: Genome) -> LayerGraph:
+    """Compile a genome into a weightless layer plan with shape records.
 
-    Deterministic: identical (genome, seed) give bit-identical weights.
-    Conv weights are Kaiming-normal over fan-in; the dense head carries a
-    zero bias. Padding is always kernel // 2 so spatial extents are set by
-    strides alone.
+    The plan holds every layer's shapes, groups and the instruction list;
+    `init_weights` turns it into a runnable graph. Padding is always
+    kernel // 2 so spatial extents are set by strides alone.
     """
     validate_genome(genome)
     h, w = genome.input_resolution
-    b = _GraphBuilder(seed, (INPUT_CHANNELS, h, w), genome.num_classes)
+    b = _GraphBuilder()
 
     _, h, w = b.add_conv(INPUT_CHANNELS, genome.stem_channels, 3, 1, 1, h, w)
     b.program.append(("relu",))
@@ -355,8 +339,33 @@ def compile_genome(genome: Genome, seed: int) -> LayerGraph:
     b.program.append(("gap",))
     b.add_dense(c_in, genome.num_classes)
     return LayerGraph(layers=b.layers, program=b.program,
-                      input_shape=b.input_shape, num_classes=genome.num_classes,
-                      genome=genome)
+                      input_shape=(INPUT_CHANNELS, *genome.input_resolution),
+                      num_classes=genome.num_classes)
+
+
+def init_weights(graph: LayerGraph, seed: int) -> LayerGraph:
+    """The runnable graph of a plan: Kaiming-normal weights over fan-in.
+
+    Each layer draws from its own stream, `_mix(seed, layer.index)`, so
+    identical (plan, seed) give bit-identical weights. Dense layers carry
+    a zero bias.
+    """
+    layers = []
+    for layer in graph.layers:
+        shapes = _param_shapes(layer)
+        weight = seeded_fill(shapes[0], "kaiming_normal", _mix(seed, layer.index),
+                             fan_in=math.prod(shapes[0][1:]))
+        bias = zeros(shapes[1]) if len(shapes) > 1 else None
+        layers.append(replace(layer, weight=weight, bias=bias))
+    return replace(graph, layers=layers)
+
+
+def _param_shapes(layer: ParamLayer) -> list[tuple[int, ...]]:
+    """Weight shape, then bias shape for dense layers."""
+    c_out = layer.out_shape[0]
+    if layer.kind == "conv":
+        return [(c_out, layer.in_channels // layer.groups, layer.kernel, layer.kernel)]
+    return [(c_out, layer.in_channels), (c_out,)]
 
 
 def _emit_resnet_block(b: _GraphBuilder, c_in: int, gene: StageGene, stride: int,
@@ -397,24 +406,21 @@ def _emit_effnet_block(b: _GraphBuilder, c_in: int, gene: StageGene, stride: int
 
 def count_params(graph: LayerGraph) -> int:
     """Total element count over every parameter tensor (weights and biases)."""
-    total = 0
-    for layer in graph.layers:
-        total += layer.weight.size
-        if layer.bias is not None:
-            total += layer.bias.size
-    return total
+    return sum(math.prod(shape) for layer in graph.layers
+               for shape in _param_shapes(layer))
+
+
+def layer_macs(layer: ParamLayer) -> int:
+    """Multiply-accumulates of one layer for one sample."""
+    c, h, w = layer.out_shape
+    if layer.kind == "conv":
+        return h * w * c * (layer.in_channels // layer.groups) * layer.kernel ** 2
+    return layer.in_channels * c
 
 
 def count_macs(graph: LayerGraph) -> int:
     """Multiply-accumulates for one sample: conv taps plus dense products."""
-    total = 0
-    for layer in graph.layers:
-        c, h, w = layer.out_shape
-        if layer.kind == "conv":
-            total += h * w * c * (layer.in_channels // layer.groups) * layer.kernel ** 2
-        else:
-            total += layer.in_channels * c
-    return total
+    return sum(layer_macs(layer) for layer in graph.layers)
 
 
 # -- variation -------------------------------------------------------------------
@@ -461,9 +467,9 @@ def _repair_gene(family: str, gene: StageGene, config: MutationConfig) -> StageG
     channels = _snap_channels(gene.channels, step, config.channels_min,
                               config.channels_max)
     mode = gene.conv_mode
-    if mode == "depthwise" and family != "effnet_like":
+    if mode == "depthwise" and not mode_is_legal(family, channels, mode):
         mode = "group"
-    if mode == "group" and channels % EFFNET_GROUP_SIZE != 0:
+    if not mode_is_legal(family, channels, mode):
         mode = "regular"
     repeats = min(max(gene.repeats, config.repeats_min), config.repeats_max)
     kernel = gene.kernel if gene.kernel in KERNEL_CHOICES else 3

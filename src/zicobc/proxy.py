@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .network import Genome, LayerGraph, compile_genome
+from .network import Genome, LayerGraph, compile_genome, init_weights
 from .tensor import Tape, Tensor, seeded_fill, tensor_digest
 
 GRAD_EPS = 1e-12
@@ -74,8 +74,8 @@ class ScoreSettings:
     resolution: tuple[int, int] | None = None  # overrides the genome's when set
 
     def validate(self) -> None:
-        if self.beta < 0:
-            raise ProxyError(f"beta must be >= 0, got {self.beta}")
+        if not 0 <= self.beta < math.inf:
+            raise ProxyError(f"beta must be finite and >= 0, got {self.beta}")
         if self.batches < 2:
             raise ProxyError(f"need at least 2 batches, got {self.batches}")
         if self.batch_size < 1:
@@ -248,8 +248,8 @@ def zico_bc_score(stats: GradientStats, graph: LayerGraph, beta: float) -> Proxy
     The combined value is computed exactly as zico - beta * penalty, so
     beta = 0 reproduces the uncorrected score bit-for-bit.
     """
-    if beta < 0:
-        raise ProxyError(f"beta must be >= 0, got {beta}")
+    if not 0 <= beta < math.inf:
+        raise ProxyError(f"beta must be finite and >= 0, got {beta}")
     if len(stats.layers) != len(graph.layers):
         raise ProxyError(
             f"stats cover {len(stats.layers)} layers but graph has "
@@ -276,11 +276,11 @@ def parameter_hash(graph: LayerGraph) -> str:
 
 
 def score_genome(genome: Genome, settings: ScoreSettings) -> ProxyScore:
-    """Compile, gather gradient statistics, and score one genome."""
+    """Compile, initialize, gather gradient statistics, and score one genome."""
     settings.validate()
     if settings.resolution is not None:
         genome = replace(genome, input_resolution=settings.resolution)
-    graph = compile_genome(genome, seed=settings.seed)
+    graph = init_weights(compile_genome(genome), settings.seed)
     batches = make_batches(graph, settings.batches, settings.batch_size,
                            seed=settings.seed)
     stats = gather_gradient_stats(graph, batches, mode=settings.stat_mode)

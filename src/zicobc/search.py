@@ -25,12 +25,17 @@ from typing import Callable
 import numpy as np
 
 from .network import (
+    CHANNEL_STEP,
+    CONV_MODES,
+    KERNEL_CHOICES,
+    MAX_REPEATS,
     Genome,
     MutationConfig,
     StageGene,
     _mix,
     crossover as genome_crossover,
     genome_to_json,
+    mode_is_legal,
     mutate as genome_mutate,
 )
 from .proxy import ProxyScore
@@ -61,9 +66,6 @@ class SearchConfig:
     generations: int = 100
     mutation_rate: float = 0.9
     crossover_rate: float = 0.5
-    beta: float = 1.0
-    batches: int = 8
-    batch_size: int = 8
     seed: int = 0
     objectives: tuple[str, ...] = ("score", "latency")
     latency_ceiling_us: float | None = None
@@ -78,14 +80,13 @@ class SearchConfig:
                            ("crossover_rate", self.crossover_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise SearchConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.beta < 0:
-            raise SearchConfigError(f"beta must be >= 0, got {self.beta}")
         if not self.objectives or any(o not in OBJECTIVE_NAMES for o in self.objectives):
             raise SearchConfigError(
                 f"objectives must be drawn from {OBJECTIVE_NAMES}, got {self.objectives}")
-        if self.latency_ceiling_us is not None and self.latency_ceiling_us <= 0:
+        ceiling = self.latency_ceiling_us
+        if ceiling is not None and not 0 < ceiling < math.inf:
             raise SearchConfigError(
-                f"latency ceiling must be positive, got {self.latency_ceiling_us}")
+                f"latency_ceiling_us must be finite and positive, got {ceiling}")
 
 
 @dataclass
@@ -409,29 +410,31 @@ class GenomeSpace:
     strides: tuple[int, ...]
     channel_choices: tuple[int, ...]
     repeat_choices: tuple[int, ...]
-    kernel_choices: tuple[int, ...] = (3, 5)
+    kernel_choices: tuple[int, ...] = KERNEL_CHOICES
     conv_modes: tuple[str, ...] = ("regular", "group")
     expansion_choices: tuple[int, ...] = (4,)
     stem_channels: int = 16
     num_classes: int = 10
     input_resolution: tuple[int, int] = (32, 32)
     allow_depthwise: bool = False
-    channel_step: int = 8
+    channel_step: int = CHANNEL_STEP
 
     def __post_init__(self) -> None:
         if not self.strides or any(s not in (1, 2) for s in self.strides):
             raise SearchConfigError(f"strides must be 1 or 2, got {self.strides}")
-        if not self.channel_choices or any(c < 8 or c % 8 for c in self.channel_choices):
-            raise SearchConfigError(
-                f"channel choices must be multiples of 8, got {self.channel_choices}")
-        if not self.repeat_choices or any(not 1 <= r <= 12 for r in self.repeat_choices):
-            raise SearchConfigError(
-                f"repeat choices must lie in 1..12, got {self.repeat_choices}")
-        if not self.kernel_choices or any(k not in (3, 5) for k in self.kernel_choices):
-            raise SearchConfigError(
-                f"kernel choices must be 3 or 5, got {self.kernel_choices}")
-        bad_modes = [m for m in self.conv_modes
-                     if m not in ("regular", "group", "depthwise")]
+        if not self.channel_choices or any(c < CHANNEL_STEP or c % CHANNEL_STEP
+                                           for c in self.channel_choices):
+            raise SearchConfigError(f"channel choices must be multiples of "
+                                    f"{CHANNEL_STEP}, got {self.channel_choices}")
+        if not self.repeat_choices or any(not 1 <= r <= MAX_REPEATS
+                                          for r in self.repeat_choices):
+            raise SearchConfigError(f"repeat choices must lie in 1..{MAX_REPEATS}, "
+                                    f"got {self.repeat_choices}")
+        if not self.kernel_choices or any(k not in KERNEL_CHOICES
+                                          for k in self.kernel_choices):
+            raise SearchConfigError(f"kernel choices must be drawn from "
+                                    f"{KERNEL_CHOICES}, got {self.kernel_choices}")
+        bad_modes = [m for m in self.conv_modes if m not in CONV_MODES]
         if not self.conv_modes or bad_modes:
             raise SearchConfigError(f"unknown conv modes {bad_modes or '(empty)'}")
         for c in self.channel_choices:
@@ -448,10 +451,7 @@ class GenomeSpace:
                 f"input resolution {h}x{w} not divisible by total stride {total}")
 
     def _legal_modes(self, channels: int) -> list[str]:
-        return [m for m in self.conv_modes
-                if m == "regular"
-                or (m == "group" and channels % 32 == 0)
-                or (m == "depthwise" and self.family == "effnet_like")]
+        return [m for m in self.conv_modes if mode_is_legal(self.family, channels, m)]
 
     def mutation_config(self) -> MutationConfig:
         return MutationConfig(

@@ -125,16 +125,6 @@ def tensor_digest(tensors: Iterable[Tensor]) -> str:
     return h.hexdigest()
 
 
-OP_KINDS = (
-    "conv2d",
-    "relu",
-    "global_avg_pool",
-    "dense",
-    "residual_add",
-    "cross_entropy_loss",
-)
-
-
 class _Record:
     """One executed primitive: output node plus per-input adjoint rules."""
 
@@ -309,24 +299,6 @@ class Tape:
         self._record("cross_entropy_loss", loss, [(logits, pull)], [])
         return loss
 
-    def apply(self, op_kind: str, inputs: Sequence[Tensor],
-              params: Sequence[Tensor] = (), **attrs) -> Tensor:
-        """Dispatch by op name; the uniform entry point used by op-generic tests."""
-        if op_kind == "conv2d":
-            return self.conv2d(inputs[0], params[0], **attrs)
-        if op_kind == "relu":
-            return self.relu(inputs[0])
-        if op_kind == "global_avg_pool":
-            return self.global_avg_pool(inputs[0])
-        if op_kind == "dense":
-            bias = params[1] if len(params) > 1 else None
-            return self.dense(inputs[0], params[0], bias)
-        if op_kind == "residual_add":
-            return self.residual_add(inputs[0], inputs[1])
-        if op_kind == "cross_entropy_loss":
-            return self.cross_entropy_loss(inputs[0], attrs["labels"])
-        raise ShapeMismatchError(f"unknown op kind {op_kind!r}")
-
     # -- reverse pass -------------------------------------------------------
 
     def backward(self, loss: Tensor) -> None:
@@ -362,9 +334,6 @@ class Tape:
         if id(param) not in self._grads:
             raise TapeError("grad() called before backward()")
         return Tensor(self._grads[id(param)])
-
-    def parameters(self) -> list[Tensor]:
-        return list(self._params.values())
 
     # -- internals -----------------------------------------------------------
 

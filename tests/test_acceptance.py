@@ -37,6 +37,7 @@ from zicobc.network import (
     count_macs,
     genome_to_dict,
     genome_to_json,
+    init_weights,
 )
 from zicobc.proxy import (
     GradientStats,
@@ -79,7 +80,7 @@ def test_criterion_1_decomposition_identity():
         for i in range(1000):
             family = "effnet_like" if i % 2 == 0 else "resnet_like"
             genome = random_genome(rng, family=family)
-            graph = compile_genome(genome, seed=i)
+            graph = init_weights(compile_genome(genome), i)
             stats = gather_gradient_stats(
                 graph, make_batches(graph, 2, 2, seed=i))
             for beta in betas:
@@ -376,13 +377,12 @@ def test_criterion_6_bias_reproduction():
                                          seed=100 + seed)
                 config = SearchConfig(population=12, generations=8,
                                       mutation_rate=0.9, crossover_rate=0.5,
-                                      beta=beta, batches=4, batch_size=2,
                                       seed=seed)
                 archive, _ = run_search(
                     space, config,
                     proxy_fn=lambda g: score_genome(g, settings),
                     latency_fn=lambda g: estimate(
-                        compile_genome(g, 100 + seed), table).total_us,
+                        compile_genome(g), table).total_us,
                     threads=4)
                 pooled[beta].extend(_depth_width(m.key)
                                     for m in archive.members())
@@ -506,7 +506,7 @@ def test_criterion_9_latency_mac_accounting():
         rng = np.random.default_rng(99)
         for case in range(100):
             genome = random_genome(rng, resolution=4, channel_choices=(8, 16))
-            graph = compile_genome(genome, seed=case)
+            graph = compile_genome(genome)
             assert count_macs(graph) == brute_force_mac_count(graph)
 
             # decide table membership per unique signature, then sum the

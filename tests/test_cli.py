@@ -51,11 +51,14 @@ class TestScore:
                 for _ in range(2)]
         assert outs[0] == outs[1]
 
-    def test_negative_beta_exits_2(self, genome_file):
+    def test_bad_env_seed_exits_2(self, genome_file):
         path, _ = genome_file
-        code, _, err = run_cli(["score", str(path), "--beta", "-1", *FAST])
+        code, out, err = run_cli(["score", str(path), *FAST],
+                                 env_extra={"ZICO_BC_SEED": "abc"})
         assert code == 2
-        assert b"beta" in err
+        assert out == b""
+        assert b"ZICO_BC_SEED" in err
+        assert b"Traceback" not in err
 
     def test_bad_genome_field_named(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -109,6 +112,33 @@ SEARCH_FAST = ["search", "--family", "resnet_like", "--strides", "1",
                "--conv-modes", "regular", "--resolution", "8x8",
                "--stem-channels", "8", "--num-classes", "4",
                "--population", "6", "--generations", "2", *FAST]
+
+
+# (CLI arguments, "{genome}" standing for the genome file; field the error names)
+BAD_INPUT_CASES = [
+    (["score", "{genome}", "--beta", "-1"], b"beta"),
+    (["score", "{genome}", "--beta", "nan"], b"beta"),
+    (["score", "{genome}", "--beta", "inf"], b"beta"),
+    (["latency", "{genome}", "--fallback-us-per-mac", "nan"], b"fallback_us_per_mac"),
+    ([*SEARCH_FAST, "--batches", "1"], b"batches"),
+    ([*SEARCH_FAST, "--batch-size", "0"], b"batch_size"),
+    ([*SEARCH_FAST, "--beta", "nan"], b"beta"),
+    ([*SEARCH_FAST, "--fallback-us-per-mac", "nan"], b"fallback_us_per_mac"),
+    ([*SEARCH_FAST, "--latency-ceiling-us", "nan"], b"latency_ceiling_us"),
+]
+
+
+class TestValidation:
+    def test_bad_input_exits_2_naming_field(self, genome_file):
+        path, _ = genome_file
+        for args, field in BAD_INPUT_CASES:
+            args = [str(path) if a == "{genome}" else a for a in args]
+            code, out, err = run_cli(args)
+            assert code == 2, (args, err.decode())
+            assert out == b"", args
+            assert field in err, (args, err.decode())
+            # rejected before anything is scored or priced
+            assert b"generation" not in err and b"Traceback" not in err, args
 
 
 class TestSearch:
@@ -187,7 +217,7 @@ class TestLatency:
         # price every layer of this genome at 2.5 us via the real pipeline
         from zicobc.latency import estimate, layer_key
         from zicobc.network import compile_genome
-        graph = compile_genome(genome, seed=0)
+        graph = compile_genome(genome)
         table = LatencyTable(entries={layer_key(l): 2.5 for l in graph.layers})
         table_path = tmp_path / "t.csv"
         save_table(table, table_path)

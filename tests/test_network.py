@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_mac_count, brute_force_param_count, random_genome
+from zicobc.latency import LatencyTable, estimate
 from zicobc.network import (
     Genome,
     GenomeError,
@@ -18,9 +19,11 @@ from zicobc.network import (
     crossover,
     genome_from_json,
     genome_to_json,
+    init_weights,
     mutate,
     validate_genome,
 )
+from zicobc.proxy import depth_width_penalty
 from zicobc.tensor import Tape, seeded_fill, tensor_digest
 
 
@@ -34,6 +37,14 @@ def single_stage_genome(family="resnet_like", repeats=1, channels=32, kernel=3,
         input_resolution=(resolution, resolution),
         expansion=kw.get("expansion", 4),
     )
+
+
+# group and depthwise stages, which random_genome never or rarely draws
+GROUPED_GENOMES = [
+    single_stage_genome(family="effnet_like", conv_mode="depthwise"),
+    single_stage_genome(family="effnet_like", conv_mode="group"),
+    single_stage_genome(conv_mode="group", channels=96, stride=2),
+]
 
 
 class TestValidation:
@@ -69,9 +80,27 @@ class TestValidation:
             validate_genome(single_stage_genome(channels=12))
 
 
+class _ShapeRecordingTape(Tape):
+    """Records the output shape of every conv and dense op in execution order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.layer_shapes: list[tuple[int, ...]] = []
+
+    def conv2d(self, *args, **kwargs):
+        out = super().conv2d(*args, **kwargs)
+        self.layer_shapes.append(out.shape)
+        return out
+
+    def dense(self, *args, **kwargs):
+        out = super().dense(*args, **kwargs)
+        self.layer_shapes.append(out.shape)
+        return out
+
+
 class TestCompile:
     def test_stride1_preserves_spatial_dims(self):
-        graph = compile_genome(single_stage_genome(), seed=0)
+        graph = compile_genome(single_stage_genome())
         block_layers = [l for l in graph.layers if l.kind == "conv" and l.index > 1]
         assert block_layers
         for layer in block_layers:
@@ -83,7 +112,7 @@ class TestCompile:
             stages=(StageGene(1, 16, 3, "regular", 1),
                     StageGene(2, 16, 3, "regular", 2)),
             stem_channels=8, num_classes=4, input_resolution=(8, 8))
-        graph = compile_genome(g, seed=0)
+        graph = compile_genome(g)
         # stem + stage1 block at 8x8; stage2 first conv output must be 4x4
         stage2_first = next(l for l in graph.layers
                             if l.kind == "conv" and l.stride == 2)
@@ -91,21 +120,22 @@ class TestCompile:
 
     def test_compile_is_deterministic(self):
         g = random_genome(np.random.default_rng(0))
-        d1 = tensor_digest(compile_genome(g, seed=7).parameter_tensors())
-        d2 = tensor_digest(compile_genome(g, seed=7).parameter_tensors())
+        d1 = tensor_digest(init_weights(compile_genome(g), 7).parameter_tensors())
+        d2 = tensor_digest(init_weights(compile_genome(g), 7).parameter_tensors())
         assert d1 == d2
-        d3 = tensor_digest(compile_genome(g, seed=8).parameter_tensors())
+        d3 = tensor_digest(init_weights(compile_genome(g), 8).parameter_tensors())
         assert d1 != d3
 
     def test_shape_inference_agrees_with_forward(self):
         rng = np.random.default_rng(21)
         for _ in range(8):
             genome = random_genome(rng)
-            graph = compile_genome(genome, seed=3)
+            graph = init_weights(compile_genome(genome), 3)
             x = seeded_fill((2, 3, *genome.input_resolution), "gaussian", 1)
-            trace: dict[int, tuple[int, ...]] = {}
-            out = graph.forward(Tape(), x, shape_trace=trace)
+            tape = _ShapeRecordingTape()
+            out = graph.forward(tape, x)
             assert out.shape == (2, genome.num_classes)
+            trace = dict(enumerate(tape.layer_shapes))
             assert len(trace) == len(graph.layers)
             for i, layer in enumerate(graph.layers):
                 c, h, w = layer.out_shape
@@ -117,15 +147,15 @@ class TestCompile:
             for repeats in (1, 2, 3):
                 g1 = single_stage_genome(family=family, repeats=repeats)
                 g2 = single_stage_genome(family=family, repeats=repeats + 1)
-                d1 = compile_genome(g1, 0).depth
-                d2 = compile_genome(g2, 0).depth
+                d1 = len(compile_genome(g1).layers)
+                d2 = len(compile_genome(g2).layers)
                 assert d2 - d1 == per_block
 
     def test_effnet_expansion_changes_width(self):
         g1 = single_stage_genome(family="effnet_like", expansion=1)
         g4 = single_stage_genome(family="effnet_like", expansion=4)
-        p1 = count_params(compile_genome(g1, 0))
-        p4 = count_params(compile_genome(g4, 0))
+        p1 = count_params(compile_genome(g1))
+        p4 = count_params(compile_genome(g4))
         assert p4 > p1
 
 
@@ -133,13 +163,35 @@ class TestCounting:
     def test_param_count_matches_element_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            graph = compile_genome(random_genome(rng), seed=1)
+            graph = init_weights(compile_genome(random_genome(rng)), 1)
             assert count_params(graph) == brute_force_param_count(graph)
+
+    def test_plan_param_count_matches_weighted_tensors(self):
+        rng = np.random.default_rng(33)
+        genomes = [random_genome(rng) for _ in range(6)] + GROUPED_GENOMES
+        for seed, genome in enumerate(genomes):
+            plan = compile_genome(genome)
+            assert count_params(plan) == \
+                brute_force_param_count(init_weights(plan, seed))
+
+    def test_accounting_same_on_plan_and_weighted_graph(self):
+        rng = np.random.default_rng(34)
+        genomes = [random_genome(rng) for _ in range(6)] + GROUPED_GENOMES
+        table = LatencyTable(fallback_us_per_mac=0.25)
+        for seed, genome in enumerate(genomes):
+            plan = compile_genome(genome)
+            graph = init_weights(plan, seed)
+            assert all(l.weight is None and l.bias is None for l in plan.layers)
+            assert estimate(plan, table).to_json_dict() == \
+                estimate(graph, table).to_json_dict()
+            assert count_macs(plan) == count_macs(graph)
+            assert count_params(plan) == count_params(graph)
+            assert depth_width_penalty(plan) == depth_width_penalty(graph)
 
     def test_mac_formula_instantiation(self):
         # 3x3 conv, 16 -> 16 channels, groups 1, 8x8 output: 8*8*16*16*9
         g = single_stage_genome(channels=16, stem_channels=16)
-        graph = compile_genome(g, 0)
+        graph = compile_genome(g)
         block = [l for l in graph.layers if l.kind == "conv" and l.index > 1]
         for layer in block:
             assert layer.out_shape == (16, 8, 8)
@@ -152,14 +204,14 @@ class TestCounting:
         rng = np.random.default_rng(32)
         for _ in range(6):
             genome = random_genome(rng, resolution=4, channel_choices=(8, 16))
-            graph = compile_genome(genome, seed=1)
+            graph = compile_genome(genome)
             assert count_macs(graph) == brute_force_mac_count(graph)
 
     def test_params_strictly_increase_with_channels(self):
         for family in ("resnet_like", "effnet_like"):
             counts = [
                 count_params(compile_genome(
-                    single_stage_genome(family=family, channels=c), 0))
+                    single_stage_genome(family=family, channels=c)))
                 for c in (16, 24, 32, 40)
             ]
             assert all(a < b for a, b in zip(counts, counts[1:]))

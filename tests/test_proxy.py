@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from helpers import random_genome
-from zicobc.network import Genome, ParamLayer, LayerGraph, StageGene, compile_genome
+from zicobc.network import (
+    Genome,
+    LayerGraph,
+    ParamLayer,
+    StageGene,
+    compile_genome,
+    init_weights,
+)
 from zicobc.proxy import (
     GRAD_EPS,
     GradientAccumulator,
@@ -91,7 +98,7 @@ class TestGatherGradientStats:
         rng = np.random.default_rng(61)
         for _ in range(10):
             genome = random_genome(rng, max_stages=1, max_repeats=1)
-            graph = compile_genome(genome, seed=2)
+            graph = init_weights(compile_genome(genome), 2)
             batches = make_batches(graph, 8, 2, seed=5)
             stats = gather_gradient_stats(graph, batches)
 
@@ -117,14 +124,14 @@ class TestGatherGradientStats:
 
     def test_weights_unchanged(self):
         genome = random_genome(np.random.default_rng(62))
-        graph = compile_genome(genome, seed=1)
+        graph = init_weights(compile_genome(genome), 1)
         before = parameter_hash(graph)
         gather_gradient_stats(graph, make_batches(graph, 4, 2, seed=1))
         assert parameter_hash(graph) == before
 
     def test_duplicated_batches_give_zero_variance(self):
         genome = random_genome(np.random.default_rng(63), max_stages=1)
-        graph = compile_genome(genome, seed=1)
+        graph = init_weights(compile_genome(genome), 1)
         batch = make_batches(graph, 1, 2, seed=4)[0]
         # variance across identical batches must vanish
         stats = gather_gradient_stats(graph, [batch, batch])
@@ -133,7 +140,7 @@ class TestGatherGradientStats:
 
     def test_errors(self):
         genome = random_genome(np.random.default_rng(64), max_stages=1)
-        graph = compile_genome(genome, seed=1)
+        graph = init_weights(compile_genome(genome), 1)
         batches = make_batches(graph, 2, 2, seed=1)
         with pytest.raises(ProxyError, match="2 batches"):
             gather_gradient_stats(graph, batches[:1])
@@ -159,7 +166,7 @@ class TestZicoScore:
         rng = np.random.default_rng(71)
         for _ in range(10):
             genome = random_genome(rng, max_stages=1)
-            graph = compile_genome(genome, seed=3)
+            graph = init_weights(compile_genome(genome), 3)
             stats = gather_gradient_stats(graph, make_batches(graph, 3, 2, seed=3))
             expected = math.fsum(
                 math.log(math.fsum(
@@ -212,7 +219,7 @@ class TestDepthWidthPenalty:
             g = Genome(family="resnet_like",
                        stages=(StageGene(repeats, 16, 3, "regular", 1),),
                        stem_channels=8, num_classes=4, input_resolution=(8, 8))
-            penalties.append(depth_width_penalty(compile_genome(g, 0)))
+            penalties.append(depth_width_penalty(compile_genome(g)))
         diffs = [b - a for a, b in zip(penalties, penalties[1:])]
         for d in diffs[1:]:
             assert d == pytest.approx(diffs[0], abs=1e-12)
@@ -221,7 +228,7 @@ class TestDepthWidthPenalty:
 class TestZicoBcScore:
     def test_beta_zero_is_bit_equal(self):
         genome = random_genome(np.random.default_rng(81), max_stages=1)
-        graph = compile_genome(genome, seed=4)
+        graph = init_weights(compile_genome(genome), 4)
         stats = gather_gradient_stats(graph, make_batches(graph, 2, 2, seed=4))
         score = zico_bc_score(stats, graph, beta=0.0)
         assert score.zico_bc == score.zico
@@ -230,13 +237,13 @@ class TestZicoBcScore:
         rng = np.random.default_rng(82)
         for _ in range(5):
             genome = random_genome(rng, max_stages=1)
-            graph = compile_genome(genome, seed=5)
+            graph = init_weights(compile_genome(genome), 5)
             stats = gather_gradient_stats(graph, make_batches(graph, 2, 2, seed=5))
             for beta in (0.0, 0.5, 1.0, 2.0):
                 s = zico_bc_score(stats, graph, beta)
                 err = abs(s.zico_bc - (s.zico - beta * s.penalty))
                 assert err < 1e-9 * max(1.0, abs(s.zico))
-                assert len(s.per_layer_terms) == graph.depth
+                assert len(s.per_layer_terms) == len(graph.layers)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ProxyError, match="beta"):

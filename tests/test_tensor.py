@@ -126,13 +126,6 @@ class TestForwardOps:
         out = Tape().global_avg_pool(x)
         np.testing.assert_allclose(out.data, [[1.5, 5.5]])
 
-    def test_apply_dispatch(self):
-        tape = Tape()
-        out = tape.apply("relu", [Tensor([-2.0, 3.0])])
-        assert out.data.tolist() == [0.0, 3.0]
-        with pytest.raises(ShapeMismatchError, match="unknown op"):
-            tape.apply("batch_norm", [Tensor([1.0])])
-
     def test_shape_errors_name_op(self):
         tape = Tape()
         with pytest.raises(ShapeMismatchError, match="conv2d"):
