@@ -24,7 +24,6 @@ from .network import (
     Genome,
     GenomeError,
     LayerGraph,
-    MutationConfig,
     StageGene,
     compile_genome,
     count_macs,
@@ -45,7 +44,6 @@ from .proxy import (
     depth_width_penalty,
     gather_gradient_stats,
     make_batches,
-    parameter_hash,
     score_genome,
     zico_bc_score,
     zico_score,
@@ -67,13 +65,13 @@ __all__ = [
     "run_correlation", "save_records", "spearman_rho",
     "LatencyModelError", "LatencyTable", "LatencyTableError", "estimate",
     "load_table", "save_table",
-    "Genome", "GenomeError", "LayerGraph", "MutationConfig", "StageGene",
+    "Genome", "GenomeError", "LayerGraph", "StageGene",
     "compile_genome", "count_macs", "count_params", "crossover",
     "genome_from_json", "genome_to_json", "init_weights", "layer_macs",
     "mutate", "validate_genome",
     "GradientStats", "ProxyError", "ProxyScore", "ScoreSettings",
     "depth_width_penalty", "gather_gradient_stats", "make_batches",
-    "parameter_hash", "score_genome", "zico_bc_score", "zico_score",
+    "score_genome", "zico_bc_score", "zico_score",
     "GenomeSpace", "Individual", "ParetoArchive", "SearchConfig",
     "crowding_distance", "non_dominated_sort", "run_search",
     "Tape", "Tensor", "seeded_fill",

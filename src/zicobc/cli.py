@@ -31,13 +31,11 @@ from .correlation import (
 from .latency import (
     LatencyModelError,
     LatencyTable,
-    LatencyTableError,
     estimate,
     load_table,
 )
 from .network import (
     GenomeError,
-    IncompatibleParentsError,
     compile_genome,
     genome_from_json,
 )
@@ -50,16 +48,14 @@ from .search import (
     SearchConfigError,
     run_search,
 )
-from .tensor import ShapeMismatchError, TapeError, TensorError
+from .tensor import TapeError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-_VALIDATION_ERRORS = (GenomeError, IncompatibleParentsError, ProxyError,
-                      LatencyTableError, CorrelationError, RecordError,
-                      SearchConfigError, TensorError, ShapeMismatchError,
-                      OSError, ValueError)
+# every validation error class is a ValueError; the runtime ones are caught first
+_VALIDATION_ERRORS = (OSError, ValueError)
 _RUNTIME_ERRORS = (EvaluationFailure, LatencyModelError, ObjectiveError, TapeError)
 
 
@@ -116,9 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="convolution mode choices (default: %(default)s)")
     p_search.add_argument("--expansions", default="4",
                           help="effnet_like expansion choices (default: %(default)s)")
-    p_search.add_argument("--allow-depthwise", action="store_true",
-                          help="let mutation reach depthwise convolutions "
-                               "(default: off)")
     p_search.add_argument("--stem-channels", type=int, default=16,
                           help="stem width (default: %(default)s)")
     p_search.add_argument("--num-classes", type=int, default=10,
@@ -348,7 +341,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         stem_channels=args.stem_channels,
         num_classes=args.num_classes,
         input_resolution=_parse_resolution(args.resolution) or (32, 32),
-        allow_depthwise=args.allow_depthwise,
     )
     config = SearchConfig(
         population=args.population,

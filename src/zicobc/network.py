@@ -14,10 +14,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .tensor import Tape, Tensor, seeded_fill, zeros
+
+if TYPE_CHECKING:
+    from .search import GenomeSpace
 
 FAMILIES = ("effnet_like", "resnet_like")
 CONV_MODES = ("regular", "group", "depthwise")
@@ -111,14 +115,6 @@ class LayerGraph:
             else:  # pragma: no cover - compile emits only the ops above
                 raise RuntimeError(f"unknown instruction {op!r}")
         return cur
-
-    def parameter_tensors(self) -> list[Tensor]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.weight)
-            if layer.bias is not None:
-                out.append(layer.bias)
-        return out
 
 
 def resolve_group_size(family: str, channels: int, conv_mode: str, expansion: int) -> int:
@@ -425,94 +421,59 @@ def count_macs(graph: LayerGraph) -> int:
 
 # -- variation -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MutationConfig:
-    """Per-knob mutation rates and the legal ranges used for repair."""
-
-    repeats_rate: float = 0.3
-    channels_rate: float = 0.3
-    kernel_rate: float = 0.2
-    conv_mode_rate: float = 0.2
-    expansion_rate: float = 0.0
-    repeats_min: int = 1
-    repeats_max: int = MAX_REPEATS
-    channels_min: int = 8
-    channels_max: int = 512
-    channel_step: int = CHANNEL_STEP  # mutation granularity, multiple of 8
-    kernel_choices: tuple[int, ...] = KERNEL_CHOICES
-    conv_modes: tuple[str, ...] = ("regular", "group")
-    expansion_choices: tuple[int, ...] = EXPANSION_CHOICES
-    allow_depthwise: bool = False
-
-    def modes(self) -> tuple[str, ...]:
-        if self.allow_depthwise and "depthwise" not in self.conv_modes:
-            return self.conv_modes + ("depthwise",)
-        if not self.allow_depthwise:
-            return tuple(m for m in self.conv_modes if m != "depthwise")
-        return self.conv_modes
+REPEATS_RATE = 0.3
+CHANNELS_RATE = 0.3
+KERNEL_RATE = 0.2
+CONV_MODE_RATE = 0.2
+EXPANSION_RATE = 0.2  # drawn only when the space declares several expansions
 
 
-def _snap_channels(value: int, step: int, lo: int, hi: int) -> int:
-    snapped = max(step, int(round(value / step)) * step)
-    lo = max(step, (lo // step) * step or step)
-    hi = max(lo, (hi // step) * step)
-    return min(max(snapped, lo), hi)
+def _step(choices: tuple[int, ...], value: int, delta: int) -> int:
+    """Move `delta` places along the sorted choices, clamped at the ends."""
+    ordered = sorted(choices)
+    return ordered[min(max(ordered.index(value) + delta, 0), len(ordered) - 1)]
 
 
-def _repair_gene(family: str, gene: StageGene, config: MutationConfig) -> StageGene:
-    step = max(config.channel_step, CHANNEL_STEP)
-    if gene.conv_mode in ("group",):
-        # both families need at least 32 | channels in group mode
-        step = max(step, EFFNET_GROUP_SIZE)
-    channels = _snap_channels(gene.channels, step, config.channels_min,
-                              config.channels_max)
-    mode = gene.conv_mode
-    if mode == "depthwise" and not mode_is_legal(family, channels, mode):
-        mode = "group"
-    if not mode_is_legal(family, channels, mode):
-        mode = "regular"
-    repeats = min(max(gene.repeats, config.repeats_min), config.repeats_max)
-    kernel = gene.kernel if gene.kernel in KERNEL_CHOICES else 3
-    return StageGene(repeats=repeats, channels=channels, kernel=kernel,
-                     conv_mode=mode, stride=gene.stride)
+def _another(choices: tuple, value, rng: np.random.Generator):
+    """A different declared value, or `value` itself when there is none."""
+    options = [c for c in choices if c != value]
+    return options[rng.integers(0, len(options))] if options else value
 
 
-def mutate(genome: Genome, rates: MutationConfig, seed: int) -> Genome:
-    """Seeded point mutation over the searched knobs of each stage.
+def mutate(genome: Genome, space: GenomeSpace, seed: int) -> Genome:
+    """Seeded point mutation within the declared choices of a search space.
 
-    Strides are part of the space topology and never mutated. Children are
-    repaired (channel snapping, legal group sizes) so they always satisfy
-    the genome invariants.
+    Repeats move one place and channels one or two places along their
+    sorted declared lists, clamped at the ends; kernels, conv modes and the
+    expansion jump to another declared value. A stage whose mode is illegal
+    at its new channel count takes the first declared mode legal there.
+    Strides are part of the space topology and never mutated. The genome
+    must lie in the space.
     """
     rng = np.random.default_rng(_mix(seed, 0x6D75))
     stages = []
     expansion = genome.expansion
-    if rates.expansion_rate > 0 and genome.family == "effnet_like" \
-            and rng.random() < rates.expansion_rate:
-        options = [e for e in rates.expansion_choices if e != expansion]
-        if options:
-            expansion = int(options[rng.integers(0, len(options))])
+    if len(space.expansion_choices) > 1 and genome.family == "effnet_like" \
+            and rng.random() < EXPANSION_RATE:
+        expansion = _another(space.expansion_choices, expansion, rng)
     for gene in genome.stages:
         repeats = gene.repeats
         channels = gene.channels
         kernel = gene.kernel
         mode = gene.conv_mode
-        if rates.repeats_rate > 0 and rng.random() < rates.repeats_rate:
-            repeats += int(rng.choice([-1, 1]))
-        if rates.channels_rate > 0 and rng.random() < rates.channels_rate:
-            channels += rates.channel_step * int(rng.choice([-2, -1, 1, 2]))
-        if rates.kernel_rate > 0 and rng.random() < rates.kernel_rate:
-            options = [k for k in rates.kernel_choices if k != kernel]
-            if options:
-                kernel = int(options[rng.integers(0, len(options))])
-        if rates.conv_mode_rate > 0 and rng.random() < rates.conv_mode_rate:
-            options = [m for m in rates.modes() if m != mode]
-            if options:
-                mode = str(options[rng.integers(0, len(options))])
-        stages.append(_repair_gene(
-            genome.family,
-            StageGene(repeats, channels, kernel, mode, gene.stride),
-            rates))
+        if rng.random() < REPEATS_RATE:
+            repeats = _step(space.repeat_choices, repeats, int(rng.choice([-1, 1])))
+        if rng.random() < CHANNELS_RATE:
+            channels = _step(space.channel_choices, channels,
+                             int(rng.choice([-2, -1, 1, 2])))
+        if rng.random() < KERNEL_RATE:
+            kernel = _another(space.kernel_choices, kernel, rng)
+        if rng.random() < CONV_MODE_RATE:
+            mode = _another(space.conv_modes, mode, rng)
+        if not mode_is_legal(genome.family, channels, mode):
+            mode = next(m for m in space.conv_modes
+                        if mode_is_legal(genome.family, channels, m))
+        stages.append(StageGene(repeats, channels, kernel, mode, gene.stride))
     child = replace(genome, stages=tuple(stages), expansion=expansion)
     validate_genome(child)
     return child

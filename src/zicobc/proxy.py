@@ -17,11 +17,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .network import Genome, LayerGraph, compile_genome, init_weights
-from .tensor import Tape, Tensor, seeded_fill, tensor_digest
+from .tensor import Tape, Tensor, seeded_fill
 
 GRAD_EPS = 1e-12
 STAT_MODES = ("abs", "signed")
-LOSS_KINDS = ("cross_entropy",)
 
 
 class ProxyError(ValueError):
@@ -158,8 +157,7 @@ class GradientAccumulator:
         return GradientStats(layers=layers, batch_count=self.count, mode=self.mode)
 
 
-def gather_gradient_stats(graph: LayerGraph, batches, loss_kind: str = "cross_entropy",
-                          mode: str = "abs") -> GradientStats:
+def gather_gradient_stats(graph: LayerGraph, batches, mode: str = "abs") -> GradientStats:
     """Per-parameter gradient mean and variance across B batches.
 
     Runs one forward and one backward pass per batch; weights are
@@ -168,9 +166,6 @@ def gather_gradient_stats(graph: LayerGraph, batches, loss_kind: str = "cross_en
     `mode` selects whether the numerator mean is taken over absolute
     gradient values (default) or signed ones.
     """
-    if loss_kind not in LOSS_KINDS:
-        raise ProxyError(f"unsupported loss kind {loss_kind!r}; "
-                         f"this engine provides {LOSS_KINDS}")
     batches = list(batches)
     if len(batches) < 2:
         raise ProxyError(
@@ -268,11 +263,6 @@ def zico_bc_score(stats: GradientStats, graph: LayerGraph, beta: float) -> Proxy
             for layer, s, p in zip(graph.layers, score_terms, penalty_terms)
         ],
     )
-
-
-def parameter_hash(graph: LayerGraph) -> str:
-    """Digest of every parameter tensor; unchanged across scoring runs."""
-    return tensor_digest(graph.parameter_tensors())
 
 
 def score_genome(genome: Genome, settings: ScoreSettings) -> ProxyScore:

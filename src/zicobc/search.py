@@ -25,18 +25,17 @@ from typing import Callable
 import numpy as np
 
 from .network import (
-    CHANNEL_STEP,
     CONV_MODES,
     KERNEL_CHOICES,
-    MAX_REPEATS,
     Genome,
-    MutationConfig,
+    GenomeError,
     StageGene,
     _mix,
     crossover as genome_crossover,
     genome_to_json,
     mode_is_legal,
     mutate as genome_mutate,
+    validate_genome,
 )
 from .proxy import ProxyScore
 
@@ -404,7 +403,11 @@ def run_search(space, config: SearchConfig, proxy_fn: Callable,
 
 @dataclass(frozen=True)
 class GenomeSpace:
-    """Micro-architecture search space with a fixed per-stage stride pattern."""
+    """Micro-architecture search space with a fixed per-stage stride pattern.
+
+    The choice lists are the only legal values: sampling, mutation and
+    crossover never produce a stage value that is not declared here.
+    """
 
     family: str
     strides: tuple[int, ...]
@@ -416,24 +419,12 @@ class GenomeSpace:
     stem_channels: int = 16
     num_classes: int = 10
     input_resolution: tuple[int, int] = (32, 32)
-    allow_depthwise: bool = False
-    channel_step: int = CHANNEL_STEP
 
     def __post_init__(self) -> None:
-        if not self.strides or any(s not in (1, 2) for s in self.strides):
-            raise SearchConfigError(f"strides must be 1 or 2, got {self.strides}")
-        if not self.channel_choices or any(c < CHANNEL_STEP or c % CHANNEL_STEP
-                                           for c in self.channel_choices):
-            raise SearchConfigError(f"channel choices must be multiples of "
-                                    f"{CHANNEL_STEP}, got {self.channel_choices}")
-        if not self.repeat_choices or any(not 1 <= r <= MAX_REPEATS
-                                          for r in self.repeat_choices):
-            raise SearchConfigError(f"repeat choices must lie in 1..{MAX_REPEATS}, "
-                                    f"got {self.repeat_choices}")
-        if not self.kernel_choices or any(k not in KERNEL_CHOICES
-                                          for k in self.kernel_choices):
-            raise SearchConfigError(f"kernel choices must be drawn from "
-                                    f"{KERNEL_CHOICES}, got {self.kernel_choices}")
+        for name in ("channel_choices", "repeat_choices", "kernel_choices",
+                     "expansion_choices"):
+            if not getattr(self, name):
+                raise SearchConfigError(f"{name}: empty list")
         bad_modes = [m for m in self.conv_modes if m not in CONV_MODES]
         if not self.conv_modes or bad_modes:
             raise SearchConfigError(f"unknown conv modes {bad_modes or '(empty)'}")
@@ -442,29 +433,34 @@ class GenomeSpace:
                 raise SearchConfigError(
                     f"no legal conv mode for {c} channels with modes "
                     f"{self.conv_modes} in family {self.family}")
-        total = 1
-        for s in self.strides:
-            total *= s
-        h, w = self.input_resolution
-        if h % total or w % total:
-            raise SearchConfigError(
-                f"input resolution {h}x{w} not divisible by total stride {total}")
+        # validate_genome checks each stage value on its own, so varying one
+        # knob at a time covers every genome `sample` can draw
+        first = (self.repeat_choices[0], self.channel_choices[0],
+                 self.kernel_choices[0], self.expansion_choices[0])
+        witnesses = [first]
+        for knob, choices in enumerate((self.repeat_choices, self.channel_choices,
+                                        self.kernel_choices, self.expansion_choices)):
+            witnesses.extend(first[:knob] + (c,) + first[knob + 1:] for c in choices)
+        for repeats, channels, kernel, expansion in witnesses:
+            stages = tuple(StageGene(repeats, channels, kernel,
+                                     self._legal_modes(channels)[0], s)
+                           for s in self.strides)
+            try:
+                validate_genome(self._genome(stages, expansion))
+            except GenomeError as exc:
+                raise SearchConfigError(f"search space: {exc}") from None
 
     def _legal_modes(self, channels: int) -> list[str]:
         return [m for m in self.conv_modes if mode_is_legal(self.family, channels, m)]
 
-    def mutation_config(self) -> MutationConfig:
-        return MutationConfig(
-            repeats_min=min(self.repeat_choices),
-            repeats_max=max(self.repeat_choices),
-            channels_min=min(self.channel_choices),
-            channels_max=max(self.channel_choices),
-            channel_step=self.channel_step,
-            kernel_choices=self.kernel_choices,
-            conv_modes=self.conv_modes,
-            expansion_choices=self.expansion_choices,
-            expansion_rate=0.2 if len(self.expansion_choices) > 1 else 0.0,
-            allow_depthwise=self.allow_depthwise,
+    def _genome(self, stages: tuple[StageGene, ...], expansion: int) -> Genome:
+        return Genome(
+            family=self.family,
+            stages=stages,
+            stem_channels=self.stem_channels,
+            num_classes=self.num_classes,
+            input_resolution=self.input_resolution,
+            expansion=expansion if self.family == "effnet_like" else 4,
         )
 
     def _gene(self, rng: np.random.Generator, stride: int) -> StageGene:
@@ -481,18 +477,11 @@ class GenomeSpace:
     def sample(self, rng: np.random.Generator) -> Genome:
         expansion = int(rng.choice(self.expansion_choices)) \
             if self.family == "effnet_like" else 4
-        return Genome(
-            family=self.family,
-            stages=tuple(self._gene(rng, s) for s in self.strides),
-            stem_channels=self.stem_channels,
-            num_classes=self.num_classes,
-            input_resolution=self.input_resolution,
-            expansion=expansion,
-        )
+        return self._genome(tuple(self._gene(rng, s) for s in self.strides),
+                            expansion)
 
     def mutate(self, genome: Genome, rng: np.random.Generator) -> Genome:
-        return genome_mutate(genome, self.mutation_config(),
-                             seed=int(rng.integers(0, 2**63)))
+        return genome_mutate(genome, self, seed=int(rng.integers(0, 2**63)))
 
     def crossover(self, a: Genome, b: Genome, rng: np.random.Generator) -> Genome:
         return genome_crossover(a, b, seed=int(rng.integers(0, 2**63)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from zicobc.network import Genome, LayerGraph, StageGene
+from zicobc.tensor import Tensor, tensor_digest
 
 
 def random_genome(rng: np.random.Generator, family: str | None = None,
@@ -42,9 +43,20 @@ def random_genome(rng: np.random.Generator, family: str | None = None,
     )
 
 
+def parameter_tensors(graph: LayerGraph) -> list[Tensor]:
+    """Every weight and bias tensor of a weighted graph, in layer order."""
+    return [t for layer in graph.layers for t in (layer.weight, layer.bias)
+            if t is not None]
+
+
+def parameter_hash(graph: LayerGraph) -> str:
+    """Digest of every parameter tensor; unchanged across scoring runs."""
+    return tensor_digest(parameter_tensors(graph))
+
+
 def brute_force_param_count(graph: LayerGraph) -> int:
     total = 0
-    for t in graph.parameter_tensors():
+    for t in parameter_tensors(graph):
         n = 1
         for extent in t.shape:
             n *= extent

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import brute_force_mac_count, random_genome
+from helpers import brute_force_mac_count, parameter_hash, random_genome
 from test_correlation import pearson_oracle, rank_count_oracle, tau_pair_oracle
 from test_tensor import assert_close_to_fd, finite_diff_grad, probe_to_scalar
 
@@ -45,7 +45,6 @@ from zicobc.proxy import (
     ScoreSettings,
     gather_gradient_stats,
     make_batches,
-    parameter_hash,
     score_genome,
     zico_bc_score,
     zico_score,
@@ -368,7 +367,7 @@ def test_criterion_6_bias_reproduction():
                             repeat_choices=tuple(range(2, 9)),
                             kernel_choices=(3,), conv_modes=("regular",),
                             stem_channels=8, num_classes=4,
-                            input_resolution=(8, 8), channel_step=16)
+                            input_resolution=(8, 8))
         table = _bias_latency_table()
         pooled = {0.0: [], 1.0: []}
         for seed in range(5):

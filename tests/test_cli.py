@@ -125,6 +125,10 @@ BAD_INPUT_CASES = [
     ([*SEARCH_FAST, "--beta", "nan"], b"beta"),
     ([*SEARCH_FAST, "--fallback-us-per-mac", "nan"], b"fallback_us_per_mac"),
     ([*SEARCH_FAST, "--latency-ceiling-us", "nan"], b"latency_ceiling_us"),
+    ([*SEARCH_FAST, "--family", "effnet_like", "--expansions", "3"], b"expansion"),
+    ([*SEARCH_FAST, "--stem-channels", "12"], b"stem_channels"),
+    ([*SEARCH_FAST, "--num-classes", "1"], b"num_classes"),
+    ([*SEARCH_FAST, "--strides", ",".join(["1"] * 9)], b"stages"),
 ]
 
 

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_mac_count, brute_force_param_count, random_genome
+from helpers import (
+    brute_force_mac_count,
+    brute_force_param_count,
+    parameter_hash,
+    random_genome,
+)
 from zicobc.latency import LatencyTable, estimate
 from zicobc.network import (
     Genome,
     GenomeError,
     IncompatibleParentsError,
-    MutationConfig,
     StageGene,
     compile_genome,
     count_macs,
@@ -24,7 +28,8 @@ from zicobc.network import (
     validate_genome,
 )
 from zicobc.proxy import depth_width_penalty
-from zicobc.tensor import Tape, seeded_fill, tensor_digest
+from zicobc.search import GenomeSpace
+from zicobc.tensor import Tape, seeded_fill
 
 
 def single_stage_genome(family="resnet_like", repeats=1, channels=32, kernel=3,
@@ -120,10 +125,10 @@ class TestCompile:
 
     def test_compile_is_deterministic(self):
         g = random_genome(np.random.default_rng(0))
-        d1 = tensor_digest(init_weights(compile_genome(g), 7).parameter_tensors())
-        d2 = tensor_digest(init_weights(compile_genome(g), 7).parameter_tensors())
+        d1 = parameter_hash(init_weights(compile_genome(g), 7))
+        d2 = parameter_hash(init_weights(compile_genome(g), 7))
         assert d1 == d2
-        d3 = tensor_digest(init_weights(compile_genome(g), 8).parameter_tensors())
+        d3 = parameter_hash(init_weights(compile_genome(g), 8))
         assert d1 != d3
 
     def test_shape_inference_agrees_with_forward(self):
@@ -234,12 +239,47 @@ class TestSerialization:
             genome_from_json(json.dumps({"family": "resnet_like"}))
 
 
+def space_around(g: Genome, **choices) -> GenomeSpace:
+    """A search space with g's family and topology; choices default to every
+    repeat count, every multiple of 8 up to 512 channels, both kernels,
+    regular and group modes and every expansion."""
+    choices = {"channel_choices": tuple(range(8, 513, 8)),
+               "repeat_choices": tuple(range(1, 13)),
+               "kernel_choices": (3, 5), "conv_modes": ("regular", "group"),
+               "expansion_choices": (1, 2, 4, 6), **choices}
+    return GenomeSpace(family=g.family, strides=tuple(s.stride for s in g.stages),
+                       stem_channels=g.stem_channels, num_classes=g.num_classes,
+                       input_resolution=g.input_resolution, **choices)
+
+
 class TestVariation:
-    def test_zero_rates_is_identity(self):
-        g = random_genome(np.random.default_rng(51))
-        cfg = MutationConfig(repeats_rate=0, channels_rate=0, kernel_rate=0,
-                             conv_mode_rate=0, expansion_rate=0)
-        assert mutate(g, cfg, seed=1) == g
+    def test_one_choice_per_knob_is_identity(self):
+        space = GenomeSpace(family="effnet_like", strides=(1, 2),
+                            channel_choices=(32,), repeat_choices=(2,),
+                            kernel_choices=(5,), conv_modes=("group",),
+                            expansion_choices=(2,), input_resolution=(8, 8))
+        g = space.sample(np.random.default_rng(51))
+        for seed in range(50):
+            assert mutate(g, space, seed=seed) == g
+
+    # (family, declared modes, mode a group stage takes at 40 channels)
+    MODE_REPAIR_CASES = [
+        ("resnet_like", ("group", "regular"), "regular"),
+        ("resnet_like", ("depthwise", "group", "regular"), "regular"),
+        ("effnet_like", ("group", "depthwise"), "depthwise"),
+        ("effnet_like", ("group", "regular"), "regular"),
+    ]
+
+    @pytest.mark.parametrize("family,modes,repaired", MODE_REPAIR_CASES)
+    def test_mode_repair_keeps_channels(self, family, modes, repaired):
+        g = single_stage_genome(family=family, channels=32, conv_mode="group")
+        space = space_around(g, channel_choices=(32, 40), repeat_choices=(1,),
+                             kernel_choices=(3,), conv_modes=modes,
+                             expansion_choices=(4,))
+        moved = [c for c in (mutate(g, space, seed=s) for s in range(100))
+                 if c.stages[0].channels == 40]
+        assert moved  # some seeds step to 40, where group is illegal
+        assert {c.stages[0].conv_mode for c in moved} == {repaired}
 
     def test_self_crossover_is_identity(self):
         rng = np.random.default_rng(52)
@@ -260,12 +300,10 @@ class TestVariation:
 
     def test_mutation_children_always_valid(self):
         rng = np.random.default_rng(53)
-        cfg = MutationConfig(repeats_rate=0.5, channels_rate=0.5, kernel_rate=0.5,
-                             conv_mode_rate=0.5, expansion_rate=0.3,
-                             channels_min=8, channels_max=128)
         g = random_genome(rng)
+        space = space_around(g, channel_choices=tuple(range(8, 129, 8)))
         for seed in range(2000):
-            g2 = mutate(g, cfg, seed=seed)
+            g2 = mutate(g, space, seed=seed)
             validate_genome(g2)  # raises on violation
             if seed % 97 == 0:
                 g = g2  # walk the space a little
@@ -274,10 +312,8 @@ class TestVariation:
     @settings(max_examples=60, deadline=None)
     def test_mutation_validity_property(self, seed, genome_pick):
         g = random_genome(np.random.default_rng(genome_pick))
-        cfg = MutationConfig(repeats_rate=0.6, channels_rate=0.6, kernel_rate=0.6,
-                             conv_mode_rate=0.6, expansion_rate=0.4,
-                             allow_depthwise=True)
-        child = mutate(g, cfg, seed=seed)
+        space = space_around(g, conv_modes=("regular", "group", "depthwise"))
+        child = mutate(g, space, seed=seed)
         validate_genome(child)
         assert child.family == g.family
         assert len(child.stages) == len(g.stages)
@@ -286,5 +322,5 @@ class TestVariation:
 
     def test_mutation_is_deterministic(self):
         g = random_genome(np.random.default_rng(55))
-        cfg = MutationConfig()
-        assert mutate(g, cfg, seed=9) == mutate(g, cfg, seed=9)
+        space = space_around(g)
+        assert mutate(g, space, seed=9) == mutate(g, space, seed=9)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_genome
+from helpers import parameter_hash, random_genome
 from zicobc.network import (
     Genome,
     LayerGraph,
@@ -23,7 +23,6 @@ from zicobc.proxy import (
     depth_width_penalty,
     gather_gradient_stats,
     make_batches,
-    parameter_hash,
     score_genome,
     zico_bc_score,
     zico_score,
@@ -144,8 +143,6 @@ class TestGatherGradientStats:
         batches = make_batches(graph, 2, 2, seed=1)
         with pytest.raises(ProxyError, match="2 batches"):
             gather_gradient_stats(graph, batches[:1])
-        with pytest.raises(ProxyError, match="loss kind"):
-            gather_gradient_stats(graph, batches, loss_kind="focal")
         bad = (Tensor(np.zeros((2, 3, 4, 4))), np.zeros(2, dtype=int))
         with pytest.raises(ProxyError, match="input shape"):
             gather_gradient_stats(graph, [bad, bad])

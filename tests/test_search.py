@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from zicobc.network import CONV_MODES, EXPANSION_CHOICES, FAMILIES, validate_genome
 from zicobc.search import (
     EvaluationFailure,
     GenomeSpace,
@@ -17,7 +20,6 @@ from zicobc.search import (
     non_dominated_sort,
     run_search,
 )
-from zicobc.network import validate_genome
 
 
 def make_ind(objectives, key=None) -> Individual:
@@ -280,7 +282,7 @@ class TestGenomeSpace:
             GenomeSpace(family="resnet_like", strides=(2, 2),
                         channel_choices=(16,), repeat_choices=(1,),
                         input_resolution=(6, 6))
-        with pytest.raises(SearchConfigError, match="multiples"):
+        with pytest.raises(SearchConfigError, match="multiple"):
             GenomeSpace(family="resnet_like", strides=(1,),
                         channel_choices=(12,), repeat_choices=(1,))
         with pytest.raises(SearchConfigError, match="conv mode"):
@@ -295,3 +297,41 @@ class TestGenomeSpace:
             GenomeSpace(family="resnet_like", strides=(1,),
                         channel_choices=(16,), repeat_choices=(1,),
                         kernel_choices=(7,))
+
+    @given(family=st.sampled_from(FAMILIES),
+           channels=st.lists(st.sampled_from(range(8, 161, 8)), min_size=1,
+                             max_size=4, unique=True),
+           repeats=st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True),
+           kernels=st.lists(st.sampled_from((3, 5)), min_size=1, unique=True),
+           modes=st.lists(st.sampled_from(CONV_MODES), min_size=1, unique=True),
+           expansions=st.lists(st.sampled_from(EXPANSION_CHOICES), min_size=1,
+                               max_size=3, unique=True),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_search_stays_in_declared_space(self, family, channels, repeats,
+                                            kernels, modes, expansions, seed):
+        try:
+            space = GenomeSpace(family=family, strides=(1, 2, 1),
+                                channel_choices=tuple(channels),
+                                repeat_choices=tuple(repeats),
+                                kernel_choices=tuple(kernels),
+                                conv_modes=tuple(modes),
+                                expansion_choices=tuple(expansions),
+                                input_resolution=(8, 8), num_classes=4)
+        except SearchConfigError:
+            assume(False)  # some channel count has no legal declared mode
+        config = SearchConfig(population=8, generations=4, seed=seed)
+        archive, log = run_search(
+            space, config,
+            proxy_fn=lambda g: float(sum(s.repeats * s.kernel for s in g.stages)),
+            latency_fn=lambda g: float(sum(s.channels for s in g.stages)))
+        genomes = [r["genome"] for r in log] + \
+            [e["genome"] for e in archive.to_json_list()]
+        for genome in genomes:
+            if family == "effnet_like":
+                assert genome["expansion"] in expansions
+            for stage in genome["stages"]:
+                assert stage["channels"] in channels
+                assert stage["repeats"] in repeats
+                assert stage["kernel"] in kernels
+                assert stage["conv_mode"] in modes
