@@ -21,6 +21,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .correlation import (
     CorrelationError,
@@ -39,7 +41,7 @@ from .network import (
     compile_genome,
     genome_from_json,
 )
-from .proxy import ProxyError, ScoreSettings, score_genome
+from .proxy import ProxyError, ScoreSettings, blas_threads, score_genome
 from .search import (
     EvaluationFailure,
     GenomeSpace,
@@ -184,7 +186,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="master seed; falls back to $ZICO_BC_SEED, then 0")
     p.add_argument("--threads", type=int, default=None,
-                   help="evaluator threads (default: available cores); "
+                   help="evaluator threads (default: available cores); each "
+                        "runs single-threaded BLAS while the pool is up, and "
+                        "one-candidate commands keep BLAS's own threading; "
                         "never affects results")
     p.add_argument("--out", default=None,
                    help="write primary output here (and a manifest next to it); "
@@ -223,6 +227,24 @@ def _build_manifest(args: argparse.Namespace, input_paths: list[str]) -> dict:
         "seed": args.seed,
         "config": config,
         "input_digests": digests,
+        "environment": _environment(args.threads),
+    }
+
+
+def _environment(threads: int) -> dict:
+    """The numeric environment bit-exact replay rests on; replay ignores it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25 has no dict form
+        blas = {}
+    outside = blas_threads()
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "evaluator_threads": threads,
+        "blas_threads": outside,
+        # parallel_map pins BLAS to one thread whenever it fans out
+        "blas_threads_in_pool": 1 if outside is not None and threads > 1 else None,
     }
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Genome, GenomeError, genome_from_dict, genome_to_dict
-from .proxy import ProxyError, ScoreSettings, score_genome
+from .proxy import ProxyError, ScoreSettings, parallel_map, score_genome
 
 
 class CorrelationError(ValueError):
@@ -176,16 +176,9 @@ def run_correlation(records: list[BenchmarkRecord], settings: ScoreSettings,
         except (GenomeError, ProxyError) as exc:
             return rec, None, str(exc)
 
-    if threads > 1 and len(records) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(score_one, records))
-    else:
-        results = [score_one(rec) for rec in records]
-
     scored = []
     failures = []
-    for rec, score, error in results:
+    for rec, score, error in parallel_map(score_one, records, threads):
         if error is not None:
             failures.append({"id": rec.id, "error": error})
         else:

@@ -11,8 +11,13 @@ feature map, log(H * W / sqrt(C)).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -275,3 +280,52 @@ def score_genome(genome: Genome, settings: ScoreSettings) -> ProxyScore:
                            seed=settings.seed)
     stats = gather_gradient_stats(graph, batches, mode=settings.stat_mode)
     return zico_bc_score(stats, graph, settings.beta)
+
+
+def parallel_map(fn: Callable, items, threads: int) -> list:
+    """`[fn(item) for item in items]`, on up to `threads` worker threads.
+
+    Results keep item order. While the pool is up, numpy's bundled
+    OpenBLAS runs single-threaded, so the workers share the cores instead
+    of each starting BLAS threads of its own; the previous count is
+    restored when the pool exits, also when fn raised. One thread or one
+    item runs inline and keeps BLAS's own threading. The BLAS count is
+    process-wide, so run one pool at a time.
+    """
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    get, set_ = _openblas()
+    saved = get()
+    set_(1)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        set_(saved)
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's bundled OpenBLAS runs now; None under another BLAS."""
+    return _openblas()[0]()
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int | None], Callable[[int], None]]:
+    """Get and set the bundled OpenBLAS thread count; no-ops under another BLAS.
+
+    numpy wheels ship OpenBLAS in `numpy.libs` with `scipy_openblas`
+    ILP64 symbols; loading it again returns the copy numpy already uses.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                       .glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return (lambda: None), (lambda count: None)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +36,7 @@ from .network import (
     mutate as genome_mutate,
     validate_genome,
 )
-from .proxy import ProxyScore
+from .proxy import ProxyScore, parallel_map
 
 OBJECTIVE_NAMES = ("score", "latency")
 
@@ -231,7 +230,7 @@ class _Evaluator:
         self.config = config
         self.proxy_fn = proxy_fn
         self.latency_fn = latency_fn
-        self.threads = max(1, threads)
+        self.threads = threads
         self._cache: dict[str, tuple] = {}
 
     def _evaluate_key(self, key: str, genome) -> tuple:
@@ -258,15 +257,10 @@ class _Evaluator:
             if key not in self._cache and key not in seen:
                 seen.add(key)
                 missing.append((key, genome))
-        if missing:
-            if self.threads > 1 and len(missing) > 1:
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    results = list(pool.map(
-                        lambda kg: self._evaluate_key(*kg), missing))
-            else:
-                results = [self._evaluate_key(k, g) for k, g in missing]
-            for (key, _), result in zip(missing, results):
-                self._cache[key] = result
+        results = parallel_map(lambda kg: self._evaluate_key(*kg), missing,
+                               self.threads)
+        for (key, _), result in zip(missing, results):
+            self._cache[key] = result
         out = []
         ceiling = self.config.latency_ceiling_us
         for key, genome in keyed:
@@ -449,6 +443,13 @@ class GenomeSpace:
                 validate_genome(self._genome(stages, expansion))
             except GenomeError as exc:
                 raise SearchConfigError(f"search space: {exc}") from None
+        unused = [m for m in self.conv_modes
+                  if not any(mode_is_legal(self.family, c, m)
+                             for c in self.channel_choices)]
+        if unused:
+            raise SearchConfigError(
+                f"conv_modes: {', '.join(unused)} is legal at none of the "
+                f"declared channels {self.channel_choices} in family {self.family}")
 
     def _legal_modes(self, channels: int) -> list[str]:
         return [m for m in self.conv_modes if mode_is_legal(self.family, channels, m)]

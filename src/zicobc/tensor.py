@@ -13,9 +13,8 @@ parallel on other tapes.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -114,15 +113,6 @@ def seeded_fill(shape: Sequence[int], distribution: str, seed: int, **params) ->
 def _reject_extras(distribution: str, params: dict) -> None:
     if params:
         raise TensorError(f"unexpected {distribution} parameters: {sorted(params)}")
-
-
-def tensor_digest(tensors: Iterable[Tensor]) -> str:
-    """SHA-256 over the raw bytes and shapes of a tensor sequence."""
-    h = hashlib.sha256()
-    for t in tensors:
-        h.update(repr(t.shape).encode())
-        h.update(t.tobytes())
-    return h.hexdigest()
 
 
 class _Record:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+from typing import Iterable
+
 import numpy as np
 
 from zicobc.network import Genome, LayerGraph, StageGene
-from zicobc.tensor import Tensor, tensor_digest
+from zicobc.proxy import _openblas
+from zicobc.tensor import Tensor
 
 
 def random_genome(rng: np.random.Generator, family: str | None = None,
@@ -49,6 +54,15 @@ def parameter_tensors(graph: LayerGraph) -> list[Tensor]:
             if t is not None]
 
 
+def tensor_digest(tensors: Iterable[Tensor]) -> str:
+    """SHA-256 over the raw bytes and shapes of a tensor sequence."""
+    h = hashlib.sha256()
+    for t in tensors:
+        h.update(repr(t.shape).encode())
+        h.update(t.tobytes())
+    return h.hexdigest()
+
+
 def parameter_hash(graph: LayerGraph) -> str:
     """Digest of every parameter tensor; unchanged across scoring runs."""
     return tensor_digest(parameter_tensors(graph))
@@ -84,3 +98,19 @@ def brute_force_mac_count(graph: LayerGraph) -> int:
                 for _fi in range(layer.in_channels):
                     total += 1
     return total
+
+
+@contextlib.contextmanager
+def blas_threads_set_to(count: int):
+    """Run the block with numpy's bundled OpenBLAS at `count` threads.
+
+    A known count outside the pool keeps the pin tests meaningful when
+    the suite itself runs with OPENBLAS_NUM_THREADS=1.
+    """
+    get, set_ = _openblas()
+    saved = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(saved)

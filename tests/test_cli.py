@@ -129,6 +129,9 @@ BAD_INPUT_CASES = [
     ([*SEARCH_FAST, "--stem-channels", "12"], b"stem_channels"),
     ([*SEARCH_FAST, "--num-classes", "1"], b"num_classes"),
     ([*SEARCH_FAST, "--strides", ",".join(["1"] * 9)], b"stages"),
+    ([*SEARCH_FAST, "--conv-modes", "regular,group", "--channels", "16,24"],
+     b"conv_modes"),
+    ([*SEARCH_FAST, "--conv-modes", "regular,depthwise"], b"conv_modes"),
 ]
 
 
@@ -178,7 +181,7 @@ class TestSearch:
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         outs = []
-        for threads, name in ((1, "t1"), (8, "t8")):
+        for threads, name in ((1, "t1"), (2, "t2"), (8, "t8")):
             out = tmp_path / f"{name}.json"
             log = tmp_path / f"{name}.jsonl"
             code, _, _ = run_cli([*SEARCH_FAST, "--seed", "5",
@@ -186,7 +189,34 @@ class TestSearch:
                                   "--out", str(out), "--log", str(log)])
             assert code == 0
             outs.append((out.read_bytes(), log.read_bytes()))
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_manifest_environment_leaves_output_and_replay_alone(self, tmp_path):
+        args = [*SEARCH_FAST, "--seed", "5", "--threads", "2"]
+        code, stdout, _ = run_cli(args)
+        assert code == 0
+        out = tmp_path / "a.json"
+        code, _, _ = run_cli([*args, "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == stdout
+        manifest_path = tmp_path / "a.json.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["evaluator_threads"] == 2
+        assert set(env["blas"]) == {"name", "version"}
+        if env["blas_threads"] is not None:
+            assert env["blas_threads"] >= 1
+            assert env["blas_threads_in_pool"] == 1
+        # replay reads only the configuration: a different environment block
+        # (another machine's) still reproduces the output byte for byte
+        manifest["environment"] = {"numpy": "0.0", "blas_threads": 64}
+        manifest_path.write_text(json.dumps(manifest))
+        replay = tmp_path / "replay.json"
+        code, _, err = run_cli(["search", "--from-manifest", str(manifest_path),
+                                "--out", str(replay)])
+        assert code == 0, err.decode()
+        assert replay.read_bytes() == stdout
 
     def test_population_validation(self):
         code, _, err = run_cli([*SEARCH_FAST, "--population", "5"])
@@ -305,8 +335,8 @@ class TestCorrelate:
         records = tmp_path / "bench.jsonl"
         records.write_text("\n".join(lines) + "\n")
         outs = [run_cli(["correlate", "--records", str(records), "--seed", "2",
-                         "--threads", str(t), *FAST])[1] for t in (1, 8)]
-        assert outs[0] == outs[1]
+                         "--threads", str(t), *FAST])[1] for t in (1, 2, 8)]
+        assert outs[0] == outs[1] == outs[2]
 
 
 class TestParetoPlotdata:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import parameter_hash, random_genome
+from helpers import blas_threads_set_to, parameter_hash, random_genome
 from zicobc.network import (
     Genome,
     LayerGraph,
@@ -20,9 +20,11 @@ from zicobc.proxy import (
     LayerStats,
     ProxyError,
     ScoreSettings,
+    blas_threads,
     depth_width_penalty,
     gather_gradient_stats,
     make_batches,
+    parallel_map,
     score_genome,
     zico_bc_score,
     zico_score,
@@ -305,3 +307,23 @@ class TestScoreGenome:
             score_genome(genome, ScoreSettings(batches=1))
         with pytest.raises(ProxyError):
             score_genome(genome, ScoreSettings(stat_mode="median"))
+
+
+class TestParallelMap:
+    """The pool pins numpy's bundled OpenBLAS to one thread, and only it."""
+
+    pytestmark = pytest.mark.skipif(blas_threads() is None,
+                                    reason="numpy's BLAS is not the bundled OpenBLAS")
+
+    def test_workers_run_one_blas_thread_and_count_is_restored(self):
+        with blas_threads_set_to(2):
+            inside = parallel_map(lambda _: blas_threads(), range(6), threads=2)
+            assert inside == [1] * 6
+            assert blas_threads() == 2
+
+    @pytest.mark.parametrize("items, threads", [(range(4), 1), ([0], 4), ([], 4)])
+    def test_inline_runs_leave_blas_threading_alone(self, items, threads):
+        with blas_threads_set_to(2):
+            assert parallel_map(lambda _: blas_threads(), items, threads) == \
+                [2] * len(items)
+            assert blas_threads() == 2

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import blas_threads_set_to
 from zicobc.network import CONV_MODES, EXPANSION_CHOICES, FAMILIES, validate_genome
+from zicobc.proxy import blas_threads
 from zicobc.search import (
     EvaluationFailure,
     GenomeSpace,
@@ -222,6 +224,24 @@ class TestRunSearch:
             run_search(ToySpace(), config, bad_proxy, toy_latency)
         assert err.value.genome_json  # offending genome serialized in the error
 
+    @pytest.mark.skipif(blas_threads() is None,
+                        reason="numpy's BLAS is not the bundled OpenBLAS")
+    def test_evaluator_failure_restores_blas_threads(self):
+        seen = []
+
+        def bad_proxy(x):
+            seen.append(blas_threads())
+            if x >= 16:
+                raise RuntimeError("boom")
+            return 0.0
+
+        config = SearchConfig(population=8, generations=1, seed=0)
+        with blas_threads_set_to(2):
+            with pytest.raises(EvaluationFailure):
+                run_search(ToySpace(), config, bad_proxy, toy_latency, threads=2)
+            assert blas_threads() == 2
+        assert seen and set(seen) == {1}  # every candidate ran in the pinned pool
+
     def test_archive_sound_after_run(self):
         config = SearchConfig(population=8, generations=10, seed=13)
         archive, _ = run_search(ToySpace(), config, toy_proxy, toy_latency)
@@ -290,6 +310,15 @@ class TestGenomeSpace:
             GenomeSpace(family="resnet_like", strides=(1,),
                         channel_choices=(16, 24), repeat_choices=(1,),
                         conv_modes=("group",))
+        with pytest.raises(SearchConfigError, match="conv_modes: group"):
+            # group is declared but legal at no declared channel count
+            GenomeSpace(family="resnet_like", strides=(1,),
+                        channel_choices=(16, 24), repeat_choices=(1,),
+                        conv_modes=("regular", "group"))
+        with pytest.raises(SearchConfigError, match="conv_modes: depthwise"):
+            GenomeSpace(family="resnet_like", strides=(1,),
+                        channel_choices=(32, 64), repeat_choices=(1,),
+                        conv_modes=("regular", "depthwise"))
         with pytest.raises(SearchConfigError, match="repeat"):
             GenomeSpace(family="resnet_like", strides=(1,),
                         channel_choices=(16,), repeat_choices=(0, 1))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import tensor_digest
 from zicobc.tensor import (
     ShapeMismatchError,
     Tape,
@@ -11,7 +12,6 @@ from zicobc.tensor import (
     Tensor,
     TensorError,
     seeded_fill,
-    tensor_digest,
 )
 
 FD_STEP = 1e-5
