@@ -326,7 +326,7 @@ def _read_genome(path: str | None):
 
 
 def _score_settings(args: argparse.Namespace) -> ScoreSettings:
-    settings = ScoreSettings(
+    return ScoreSettings(
         beta=args.beta,
         batches=args.batches,
         batch_size=args.batch_size,
@@ -334,8 +334,6 @@ def _score_settings(args: argparse.Namespace) -> ScoreSettings:
         stat_mode=args.stat_mode,
         resolution=_parse_resolution(args.resolution),
     )
-    settings.validate()
-    return settings
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -372,11 +370,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         seed=args.seed,
         latency_ceiling_us=args.latency_ceiling_us,
     )
-    config.validate()
-    settings = ScoreSettings(beta=args.beta, batches=args.batches,
-                             batch_size=args.batch_size, seed=args.seed,
-                             stat_mode=args.stat_mode)
-    settings.validate()
+    settings = _score_settings(args)
     if args.latency_table:
         table = load_table(args.latency_table, args.fallback_us_per_mac)
     else:

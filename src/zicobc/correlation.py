@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -168,7 +168,6 @@ def run_correlation(records: list[BenchmarkRecord], settings: ScoreSettings,
     if len(records) < 2:
         raise CorrelationError(
             f"need at least 2 records to correlate, got {len(records)}")
-    settings.validate()
 
     def score_one(rec: BenchmarkRecord):
         try:
@@ -203,13 +202,6 @@ def run_correlation(records: list[BenchmarkRecord], settings: ScoreSettings,
             for rec, s in scored
         ],
         "failures": failures,
-        "settings": {
-            "beta": settings.beta,
-            "batches": settings.batches,
-            "batch_size": settings.batch_size,
-            "seed": settings.seed,
-            "stat_mode": settings.stat_mode,
-            "resolution": list(settings.resolution) if settings.resolution else None,
-        },
+        "settings": asdict(settings),
     }
     return report

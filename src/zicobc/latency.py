@@ -46,9 +46,6 @@ class LatencyTable:
                 raise LatencyTableError(f"latency must be finite and >= 0, "
                                         f"got {us} for key {key}")
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def lookup(self, key: LatencyKey) -> float | None:
         return self.entries.get(key)
 

@@ -27,8 +27,8 @@ FAMILIES = ("effnet_like", "resnet_like")
 CONV_MODES = ("regular", "group", "depthwise")
 KERNEL_CHOICES = (3, 5)
 EXPANSION_CHOICES = (1, 2, 4, 6)
-RESNET_GROUP_SIZES = (128, 64, 32)  # largest one dividing the channels wins
-EFFNET_GROUP_SIZE = 32
+RESNET_GROUP_COUNTS = (128, 64, 32)  # largest one dividing the channels wins
+EFFNET_GROUP_COUNT = 32
 INPUT_CHANNELS = 3
 MAX_STAGES = 8
 MAX_REPEATS = 12
@@ -117,13 +117,15 @@ class LayerGraph:
         return cur
 
 
-def resolve_group_size(family: str, channels: int, conv_mode: str, expansion: int) -> int:
-    """Groups used by a stage's spatial convolution.
+def resolve_groups(family: str, channels: int, conv_mode: str, expansion: int) -> int:
+    """Number of groups of a stage's spatial convolution.
 
     resnet_like group mode picks the largest of 128/64/32 dividing the stage
-    channels; effnet_like group mode always uses 32 on the expanded channels.
-    Depthwise sets groups equal to the convolved channel count and is only
-    defined for effnet_like.
+    channels, so a stage at 32, 64 or 128 channels is depthwise (one channel
+    per group); a block's first conv falls back to 1 group when the count
+    does not divide its input channels. effnet_like group mode always uses
+    32 groups on the expanded channels. Depthwise sets groups equal to the
+    convolved channel count and is only defined for effnet_like.
     """
     if conv_mode == "regular":
         return 1
@@ -132,21 +134,21 @@ def resolve_group_size(family: str, channels: int, conv_mode: str, expansion: in
             raise GenomeError("conv_mode: depthwise is only supported for effnet_like")
         return channels * expansion
     if family == "resnet_like":
-        for g in RESNET_GROUP_SIZES:
+        for g in RESNET_GROUP_COUNTS:
             if channels % g == 0:
                 return g
         raise GenomeError(
             f"conv_mode: group requires channels divisible by 32, got {channels}")
-    if channels % EFFNET_GROUP_SIZE != 0:
+    if channels % EFFNET_GROUP_COUNT != 0:
         raise GenomeError(
             f"conv_mode: group requires channels divisible by 32, got {channels}")
-    return EFFNET_GROUP_SIZE
+    return EFFNET_GROUP_COUNT
 
 
 def mode_is_legal(family: str, channels: int, conv_mode: str) -> bool:
-    """Whether `resolve_group_size` accepts this stage; expansion is irrelevant."""
+    """Whether `resolve_groups` accepts this stage; expansion is irrelevant."""
     try:
-        resolve_group_size(family, channels, conv_mode, expansion=1)
+        resolve_groups(family, channels, conv_mode, expansion=1)
     except GenomeError:
         return False
     return True
@@ -193,7 +195,7 @@ def _validate_gene(genome: Genome, i: int, gene: StageGene) -> None:
     if gene.conv_mode not in CONV_MODES:
         raise GenomeError(f"{where}.conv_mode: unknown mode {gene.conv_mode!r}")
     try:
-        resolve_group_size(genome.family, gene.channels, gene.conv_mode, genome.expansion)
+        resolve_groups(genome.family, gene.channels, gene.conv_mode, genome.expansion)
     except GenomeError as exc:
         raise GenomeError(f"{where}.{exc}") from None
 
@@ -321,8 +323,8 @@ def compile_genome(genome: Genome) -> LayerGraph:
     c_in = genome.stem_channels
 
     for gene in genome.stages:
-        groups = resolve_group_size(genome.family, gene.channels,
-                                    gene.conv_mode, genome.expansion)
+        groups = resolve_groups(genome.family, gene.channels,
+                                gene.conv_mode, genome.expansion)
         for block in range(gene.repeats):
             stride = gene.stride if block == 0 else 1
             if genome.family == "resnet_like":

@@ -68,7 +68,10 @@ class ProxyScore:
 
 @dataclass(frozen=True)
 class ScoreSettings:
-    """Resolved proxy-evaluation configuration shared by all front-ends."""
+    """Resolved proxy-evaluation configuration shared by all front-ends.
+
+    Checked when built, so an instance that exists is valid.
+    """
 
     beta: float = 1.0
     batches: int = 8
@@ -77,7 +80,7 @@ class ScoreSettings:
     stat_mode: str = "abs"
     resolution: tuple[int, int] | None = None  # overrides the genome's when set
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 <= self.beta < math.inf:
             raise ProxyError(f"beta must be finite and >= 0, got {self.beta}")
         if self.batches < 2:
@@ -272,7 +275,6 @@ def zico_bc_score(stats: GradientStats, graph: LayerGraph, beta: float) -> Proxy
 
 def score_genome(genome: Genome, settings: ScoreSettings) -> ProxyScore:
     """Compile, initialize, gather gradient statistics, and score one genome."""
-    settings.validate()
     if settings.resolution is not None:
         genome = replace(genome, input_resolution=settings.resolution)
     graph = init_weights(compile_genome(genome), settings.seed)

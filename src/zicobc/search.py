@@ -38,8 +38,6 @@ from .network import (
 )
 from .proxy import ProxyScore, parallel_map
 
-OBJECTIVE_NAMES = ("score", "latency")
-
 
 class SearchConfigError(ValueError):
     """Configuration violates a stated bound."""
@@ -60,15 +58,16 @@ class EvaluationFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Evolution settings; checked when built, so an instance that exists is valid."""
+
     population: int = 64
     generations: int = 100
     mutation_rate: float = 0.9
     crossover_rate: float = 0.5
     seed: int = 0
-    objectives: tuple[str, ...] = ("score", "latency")
     latency_ceiling_us: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.population < 4 or self.population % 2:
             raise SearchConfigError(
                 f"population must be even and >= 4, got {self.population}")
@@ -78,9 +77,6 @@ class SearchConfig:
                            ("crossover_rate", self.crossover_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise SearchConfigError(f"{name} must be in [0, 1], got {rate}")
-        if not self.objectives or any(o not in OBJECTIVE_NAMES for o in self.objectives):
-            raise SearchConfigError(
-                f"objectives must be drawn from {OBJECTIVE_NAMES}, got {self.objectives}")
         ceiling = self.latency_ceiling_us
         if ceiling is not None and not 0 < ceiling < math.inf:
             raise SearchConfigError(
@@ -265,11 +261,8 @@ class _Evaluator:
         ceiling = self.config.latency_ceiling_us
         for key, genome in keyed:
             score, latency, detail = self._cache[key]
-            objectives = []
-            for name in self.config.objectives:
-                objectives.append(-score if name == "score" else latency)
             out.append(Individual(
-                genome=genome, key=key, objectives=tuple(objectives),
+                genome=genome, key=key, objectives=(-score, latency),
                 score=score, latency_us=latency,
                 zico=detail[0], penalty=detail[1], zico_bc=detail[2],
                 feasible=ceiling is None or latency <= ceiling,
@@ -277,8 +270,11 @@ class _Evaluator:
         return out
 
 
-def _rank_population(population: list[Individual]) -> None:
-    """Canonical rank/crowding assignment over feasible members."""
+def _rank_population(population: list[Individual]) -> list[list[Individual]]:
+    """Canonical rank/crowding assignment; returns the fronts of feasible members.
+
+    Infeasible members sit behind every front: rank inf, crowding 0.
+    """
     feasible = [ind for ind in population if ind.feasible]
     for ind in population:
         if not ind.feasible:
@@ -287,6 +283,7 @@ def _rank_population(population: list[Individual]) -> None:
     fronts = non_dominated_sort(feasible) if feasible else []
     for front in fronts:
         crowding_distance(front)
+    return fronts
 
 
 def _environmental_selection(combined: list[Individual],
@@ -301,26 +298,19 @@ def _environmental_selection(combined: list[Individual],
     for ind in combined:
         unique.setdefault(ind.key, ind)
     combined = [unique[k] for k in sorted(unique)]
-    feasible = [ind for ind in combined if ind.feasible]
-    infeasible = [ind for ind in combined if not ind.feasible]
-    for ind in infeasible:
-        ind.rank = math.inf
-        ind.crowding = 0.0
     selected: list[Individual] = []
-    if feasible:
-        fronts = non_dominated_sort(feasible)
-        for front in fronts:
-            crowding_distance(front)
-            if len(selected) + len(front) <= size:
-                selected.extend(sorted(front, key=lambda ind: ind.key))
-            else:
-                room = size - len(selected)
-                ordered = sorted(front, key=lambda ind: (-ind.crowding, ind.key))
-                selected.extend(ordered[:room])
-                break
+    for front in _rank_population(combined):
+        if len(selected) + len(front) <= size:
+            selected.extend(sorted(front, key=lambda ind: ind.key))
+        else:
+            room = size - len(selected)
+            ordered = sorted(front, key=lambda ind: (-ind.crowding, ind.key))
+            selected.extend(ordered[:room])
+            break
     if len(selected) < size:
         # infeasible-last: fill by smallest ceiling violation
-        backfill = sorted(infeasible, key=lambda ind: (ind.latency_us, ind.key))
+        backfill = sorted((ind for ind in combined if not ind.feasible),
+                          key=lambda ind: (ind.latency_us, ind.key))
         selected.extend(backfill[:size - len(selected)])
     return selected
 
@@ -352,7 +342,6 @@ def run_search(space, config: SearchConfig, proxy_fn: Callable,
     latency_fn maps a genome to microseconds (minimized). Returns the
     archive and one log row per individual per generation.
     """
-    config.validate()
     rng = np.random.default_rng(_mix(config.seed, 0x5345))
     evaluate = _Evaluator(space, config, proxy_fn, latency_fn, threads)
     archive = ParetoArchive()

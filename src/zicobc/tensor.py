@@ -61,9 +61,6 @@ class Tensor:
             raise TensorError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def tobytes(self) -> bytes:
-        return self.data.tobytes()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape})"
 

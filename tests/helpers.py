@@ -59,7 +59,7 @@ def tensor_digest(tensors: Iterable[Tensor]) -> str:
     h = hashlib.sha256()
     for t in tensors:
         h.update(repr(t.shape).encode())
-        h.update(t.tobytes())
+        h.update(t.data.tobytes())
     return h.hexdigest()
 
 

@@ -84,7 +84,7 @@ class TestTableIO:
             "conv2d,8,8,4,4,3,1,2,7.25\n"
             "dense,8,4,1,1,1,1,1,0.5\n")
         table = load_table(p)
-        assert len(table) == 3
+        assert len(table.entries) == 3
         assert table.lookup(("dense", 8, 4, 1, 1, 1, 1, 1)) == 0.5
 
     def test_negative_latency_names_line(self, tmp_path):

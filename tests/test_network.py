@@ -157,6 +157,35 @@ class TestCompile:
                 d2 = len(compile_genome(g2).layers)
                 assert d2 - d1 == per_block
 
+    # group mode sets a group count: resnet_like takes the largest of 128/64/32
+    # dividing the stage channels (depthwise at 32, 64, 128), and a block's
+    # first conv drops to 1 group when that count does not divide its input;
+    # effnet_like always uses 32 groups on the expanded channels
+    @pytest.mark.parametrize(
+        "family,channels,block_in,expansion,groups,per_group", [
+            ("resnet_like", 64, 64, 4, (64, 64), 1),
+            ("resnet_like", 96, 96, 4, (32, 32), 3),
+            ("resnet_like", 128, 128, 4, (128, 128), 1),
+            ("resnet_like", 32, 32, 4, (32, 32), 1),
+            ("resnet_like", 64, 16, 4, (1, 64, 1), 1),  # from the 16-channel stem
+            ("resnet_like", 96, 16, 4, (1, 32, 1), 3),
+            ("resnet_like", 128, 64, 4, (1, 128, 1), 1),
+            ("resnet_like", 64, 128, 4, (64, 64, 1), 1),
+            ("effnet_like", 32, 16, 4, (1, 32, 1), 4),
+            ("effnet_like", 64, 64, 1, (1, 32, 1), 2),
+            ("effnet_like", 96, 16, 2, (1, 32, 1), 6),
+        ])
+    def test_group_counts(self, family, channels, block_in, expansion, groups,
+                          per_group):
+        genome = single_stage_genome(family=family, channels=channels,
+                                     conv_mode="group", stem_channels=block_in,
+                                     expansion=expansion)
+        # between the stem and the classifier: one block, plus any projection
+        block = compile_genome(genome).layers[1:-1]
+        assert tuple(layer.groups for layer in block) == groups
+        spatial = block[1]  # resnet_like second conv, effnet_like k x k conv
+        assert spatial.in_channels // spatial.groups == per_group
+
     def test_effnet_expansion_changes_width(self):
         g1 = single_stage_genome(family="effnet_like", expansion=1)
         g4 = single_stage_genome(family="effnet_like", expansion=4)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -307,6 +308,15 @@ class TestScoreGenome:
             score_genome(genome, ScoreSettings(batches=1))
         with pytest.raises(ProxyError):
             score_genome(genome, ScoreSettings(stat_mode="median"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("beta", -0.5), ("beta", math.inf), ("batches", 1), ("batch_size", 0),
+        ("stat_mode", "median"),
+    ])
+    def test_replace_to_bad_field_raises_naming_it(self, field, value):
+        valid = ScoreSettings(batches=2, batch_size=2, resolution=(16, 16))
+        with pytest.raises(ProxyError, match=field):
+            dataclasses.replace(valid, **{field: value})
 
 
 class TestParallelMap:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -270,16 +271,24 @@ class TestRunSearch:
 class TestSearchConfig:
     def test_bounds(self):
         with pytest.raises(SearchConfigError, match="population"):
-            SearchConfig(population=5).validate()
+            SearchConfig(population=5)
         with pytest.raises(SearchConfigError, match="population"):
-            SearchConfig(population=2).validate()
+            SearchConfig(population=2)
         with pytest.raises(SearchConfigError, match="generations"):
-            SearchConfig(generations=0).validate()
+            SearchConfig(generations=0)
         with pytest.raises(SearchConfigError, match="mutation_rate"):
-            SearchConfig(mutation_rate=1.5).validate()
-        with pytest.raises(SearchConfigError, match="objectives"):
-            SearchConfig(objectives=("score", "energy")).validate()
-        SearchConfig().validate()
+            SearchConfig(mutation_rate=1.5)
+        SearchConfig()
+
+    @pytest.mark.parametrize("field,value", [
+        ("population", 7), ("generations", 0), ("mutation_rate", -0.1),
+        ("crossover_rate", 1.5), ("latency_ceiling_us", 0.0),
+        ("latency_ceiling_us", math.nan),
+    ])
+    def test_replace_to_bad_field_raises_naming_it(self, field, value):
+        valid = SearchConfig(population=8, generations=2, latency_ceiling_us=500.0)
+        with pytest.raises(SearchConfigError, match=field):
+            dataclasses.replace(valid, **{field: value})
 
 
 class TestGenomeSpace:

@@ -339,7 +339,7 @@ class TestSeededFill:
     def test_gaussian_determinism(self):
         a = seeded_fill((4, 4), "gaussian", 42, mean=0.0, std=1.0)
         b = seeded_fill((4, 4), "gaussian", 42, mean=0.0, std=1.0)
-        assert a.tobytes() == b.tobytes()
+        assert a.data.tobytes() == b.data.tobytes()
 
     def test_kaiming_sample_std(self):
         fan_in = 50
