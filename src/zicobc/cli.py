@@ -137,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--log", default=None,
                           help="write per-generation JSONL log here (default: none)")
     _add_proxy_flags(p_search)
+    _add_threads_flag(p_search)
     _add_common_flags(p_search)
 
     p_corr = sub.add_parser(
@@ -144,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corr.add_argument("--records", required=True,
                         help="JSONL benchmark records: {id, genome, test_accuracy}")
     _add_proxy_flags(p_corr)
+    _add_threads_flag(p_corr)
     _add_common_flags(p_corr)
 
     p_lat = sub.add_parser(
@@ -180,16 +182,18 @@ def _add_proxy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resolution", default=None,
                    help="input resolution HxW (default: the genome's own value; "
                         "search uses 32x32)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="master seed; falls back to $ZICO_BC_SEED, then 0")
+
+
+def _add_threads_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, default=None,
+                   help="evaluator threads (default: available cores); each "
+                        "runs single-threaded BLAS while the pool is up; "
+                        "never affects results")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed; falls back to $ZICO_BC_SEED, then 0")
-    p.add_argument("--threads", type=int, default=None,
-                   help="evaluator threads (default: available cores); each "
-                        "runs single-threaded BLAS while the pool is up, and "
-                        "one-candidate commands keep BLAS's own threading; "
-                        "never affects results")
     p.add_argument("--out", default=None,
                    help="write primary output here (and a manifest next to it); "
                         "default: stdout")
@@ -199,15 +203,18 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_common(args: argparse.Namespace) -> None:
-    if getattr(args, "seed", None) is None:
+    if "seed" in args and args.seed is None:
         env_seed = os.environ.get("ZICO_BC_SEED", "0")
         try:
             args.seed = int(env_seed)
         except ValueError:
             raise ValueError(
                 f"ZICO_BC_SEED must be an integer, got {env_seed!r}") from None
-    if getattr(args, "threads", None) is None:
-        args.threads = os.cpu_count() or 1
+    if "threads" in args:
+        if args.threads is None:
+            args.threads = os.cpu_count() or 1
+        elif args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
 
 
 # -- manifest -----------------------------------------------------------------
@@ -224,10 +231,9 @@ def _build_manifest(args: argparse.Namespace, input_paths: list[str]) -> dict:
     return {
         "subcommand": args.command,
         "tool_version": __version__,
-        "seed": args.seed,
         "config": config,
         "input_digests": digests,
-        "environment": _environment(args.threads),
+        "environment": _environment(getattr(args, "threads", 1)),
     }
 
 
@@ -325,6 +331,12 @@ def _read_genome(path: str | None):
     return genome_from_json(Path(path).read_text())
 
 
+def _latency_table(path: str | None, fallback_us_per_mac: float) -> LatencyTable:
+    if path:
+        return load_table(path, fallback_us_per_mac)
+    return LatencyTable(fallback_us_per_mac=fallback_us_per_mac)
+
+
 def _score_settings(args: argparse.Namespace) -> ScoreSettings:
     return ScoreSettings(
         beta=args.beta,
@@ -371,10 +383,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         latency_ceiling_us=args.latency_ceiling_us,
     )
     settings = _score_settings(args)
-    if args.latency_table:
-        table = load_table(args.latency_table, args.fallback_us_per_mac)
-    else:
-        table = LatencyTable(fallback_us_per_mac=args.fallback_us_per_mac)
+    table = _latency_table(args.latency_table, args.fallback_us_per_mac)
 
     def proxy_fn(genome):
         return score_genome(genome, settings)
@@ -409,10 +418,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 def cmd_latency(args: argparse.Namespace) -> int:
     genome = _read_genome(args.genome)
-    if args.table:
-        table = load_table(args.table, args.fallback_us_per_mac)
-    else:
-        table = LatencyTable(fallback_us_per_mac=args.fallback_us_per_mac)
+    table = _latency_table(args.table, args.fallback_us_per_mac)
     graph = compile_genome(genome)
     result = estimate(graph, table)
     inputs = [args.genome] + ([args.table] if args.table else [])

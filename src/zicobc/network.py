@@ -227,26 +227,34 @@ def genome_to_json(genome: Genome) -> str:
     return json.dumps(genome_to_dict(genome), sort_keys=True, separators=(",", ":"))
 
 
+def _json_int(value, field: str) -> int:
+    """A genome number must be a JSON integer: no float, bool or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GenomeError(f"{field}: must be a JSON integer, got {value!r}")
+    return value
+
+
 def genome_from_dict(data: dict) -> Genome:
     try:
         stages = tuple(
             StageGene(
-                repeats=int(s["repeats"]),
-                channels=int(s["channels"]),
-                kernel=int(s["kernel"]),
+                repeats=_json_int(s["repeats"], f"stages[{i}].repeats"),
+                channels=_json_int(s["channels"], f"stages[{i}].channels"),
+                kernel=_json_int(s["kernel"], f"stages[{i}].kernel"),
                 conv_mode=str(s["conv_mode"]),
-                stride=int(s["stride"]),
+                stride=_json_int(s["stride"], f"stages[{i}].stride"),
             )
-            for s in data["stages"]
+            for i, s in enumerate(data["stages"])
         )
+        resolution = data["input_resolution"]
         genome = Genome(
             family=str(data["family"]),
             stages=stages,
-            stem_channels=int(data["stem_channels"]),
-            num_classes=int(data["num_classes"]),
-            input_resolution=(int(data["input_resolution"][0]),
-                              int(data["input_resolution"][1])),
-            expansion=int(data.get("expansion", 4)),
+            stem_channels=_json_int(data["stem_channels"], "stem_channels"),
+            num_classes=_json_int(data["num_classes"], "num_classes"),
+            input_resolution=(_json_int(resolution[0], "input_resolution[0]"),
+                              _json_int(resolution[1], "input_resolution[1]")),
+            expansion=_json_int(data.get("expansion", 4), "expansion"),
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise GenomeError(f"malformed genome object: missing or bad field {exc}") from None

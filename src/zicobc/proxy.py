@@ -42,7 +42,6 @@ class LayerStats:
 class GradientStats:
     layers: list[LayerStats]
     batch_count: int
-    mode: str = "abs"
 
 
 @dataclass
@@ -90,6 +89,9 @@ class ScoreSettings:
         if self.stat_mode not in STAT_MODES:
             raise ProxyError(f"stat_mode must be one of {STAT_MODES}, "
                              f"got {self.stat_mode!r}")
+        if self.resolution is not None and min(self.resolution) < 1:
+            h, w = self.resolution
+            raise ProxyError(f"resolution extents must be positive, got {h}x{w}")
 
 
 def make_batches(graph: LayerGraph, count: int, batch_size: int,
@@ -162,7 +164,7 @@ class GradientAccumulator:
                        var_grad=self._m2[li] / (self.count - 1))
             for li in range(len(self._mean_sgn))
         ]
-        return GradientStats(layers=layers, batch_count=self.count, mode=self.mode)
+        return GradientStats(layers=layers, batch_count=self.count)
 
 
 def gather_gradient_stats(graph: LayerGraph, batches, mode: str = "abs") -> GradientStats:

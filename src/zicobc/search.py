@@ -53,7 +53,6 @@ class EvaluationFailure(RuntimeError):
     def __init__(self, genome_json: str, cause: BaseException) -> None:
         super().__init__(f"evaluator failed on genome {genome_json}: {cause}")
         self.genome_json = genome_json
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -156,10 +155,6 @@ def non_dominated_sort(population: list[Individual]) -> list[list[Individual]]:
 def crowding_distance(front: list[Individual]) -> None:
     """Per-objective normalized neighbor gaps; boundary members get +inf."""
     if not front:
-        return
-    if len(front) <= 2:
-        for ind in front:
-            ind.crowding = math.inf
         return
     for ind in front:
         ind.crowding = 0.0
@@ -280,7 +275,7 @@ def _rank_population(population: list[Individual]) -> list[list[Individual]]:
         if not ind.feasible:
             ind.rank = math.inf
             ind.crowding = 0.0
-    fronts = non_dominated_sort(feasible) if feasible else []
+    fronts = non_dominated_sort(feasible)
     for front in fronts:
         crowding_distance(front)
     return fronts
@@ -315,19 +310,18 @@ def _environmental_selection(combined: list[Individual],
     return selected
 
 
+def _fitness(ind: Individual) -> tuple[float, float]:
+    """Tournament key, smaller wins; any feasible member beats any infeasible one."""
+    if ind.feasible:
+        return ind.rank, -ind.crowding
+    return math.inf, ind.latency_us
+
+
 def _tournament(population: list[Individual], rng: np.random.Generator) -> Individual:
     i = int(rng.integers(0, len(population)))
     j = int(rng.integers(0, len(population)))
     a, b = population[i], population[j]
-    if a.feasible != b.feasible:
-        return a if a.feasible else b
-    if not a.feasible:
-        return a if a.latency_us <= b.latency_us else b
-    if a.rank != b.rank:
-        return a if a.rank < b.rank else b
-    if a.crowding != b.crowding:
-        return a if a.crowding > b.crowding else b
-    return a
+    return b if _fitness(b) < _fitness(a) else a
 
 
 def run_search(space, config: SearchConfig, proxy_fn: Callable,

@@ -112,18 +112,6 @@ def _reject_extras(distribution: str, params: dict) -> None:
         raise TensorError(f"unexpected {distribution} parameters: {sorted(params)}")
 
 
-class _Record:
-    """One executed primitive: output node plus per-input adjoint rules."""
-
-    __slots__ = ("op", "output", "pulls")
-
-    def __init__(self, op: str, output: Tensor,
-                 pulls: list[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]) -> None:
-        self.op = op
-        self.output = output
-        self.pulls = pulls
-
-
 class Tape:
     """Records primitive ops and replays them backward for gradients.
 
@@ -135,7 +123,8 @@ class Tape:
     """
 
     def __init__(self) -> None:
-        self._records: list[_Record] = []
+        # one (output, [(input, adjoint rule), ...]) pair per executed primitive
+        self._records: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] = []
         self._params: dict[int, Tensor] = {}
         self._outputs: set[int] = set()
         self._grads: dict[int, np.ndarray] = {}
@@ -194,7 +183,7 @@ class Tape:
                 gxp = gxp[:, :, padding:padding + h, padding:padding + w]
             return gxp
 
-        self._record("conv2d", result, [(x, pull_x)], [(weight, pull_weight)])
+        self._record(result, [(x, pull_x)], [(weight, pull_weight)])
         return result
 
     def relu(self, x: Tensor) -> Tensor:
@@ -204,7 +193,7 @@ class Tape:
         def pull(go: np.ndarray) -> np.ndarray:
             return go * mask
 
-        self._record("relu", out, [(x, pull)], [])
+        self._record(out, [(x, pull)], [])
         return out
 
     def global_avg_pool(self, x: Tensor) -> Tensor:
@@ -216,7 +205,7 @@ class Tape:
         def pull(go: np.ndarray) -> np.ndarray:
             return np.broadcast_to(go[:, :, None, None] / (h * w), (n, c, h, w)).copy()
 
-        self._record("global_avg_pool", out, [(x, pull)], [])
+        self._record(out, [(x, pull)], [])
         return out
 
     def dense(self, x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -245,7 +234,7 @@ class Tape:
         params = [(weight, pull_w)]
         if bias is not None:
             params.append((bias, lambda go: go.sum(axis=0)))
-        self._record("dense", out, [(x, pull_x)], params)
+        self._record(out, [(x, pull_x)], params)
         return out
 
     def residual_add(self, a: Tensor, b: Tensor) -> Tensor:
@@ -254,7 +243,7 @@ class Tape:
                 f"residual_add: operand shapes {a.shape} and {b.shape} differ")
         out = Tensor(a.data + b.data)
         identity = lambda go: go
-        self._record("residual_add", out, [(a, identity), (b, identity)], [])
+        self._record(out, [(a, identity), (b, identity)], [])
         return out
 
     def cross_entropy_loss(self, logits: Tensor, labels) -> Tensor:
@@ -283,7 +272,7 @@ class Tape:
             softmax[np.arange(n), lab] -= 1.0
             return softmax * (float(go.reshape(-1)[0]) / n)
 
-        self._record("cross_entropy_loss", loss, [(logits, pull)], [])
+        self._record(loss, [(logits, pull)], [])
         return loss
 
     # -- reverse pass -------------------------------------------------------
@@ -298,11 +287,11 @@ class Tape:
             raise TapeError("loss was not produced by ops on this tape")
 
         adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for record in reversed(self._records):
-            go = adjoint.pop(id(record.output), None)
+        for output, pulls in reversed(self._records):
+            go = adjoint.pop(id(output), None)
             if go is None:
                 continue
-            for tensor, pull in record.pulls:
+            for tensor, pull in pulls:
                 g = pull(go)
                 slot = adjoint.get(id(tensor))
                 if slot is None:
@@ -324,12 +313,12 @@ class Tape:
 
     # -- internals -----------------------------------------------------------
 
-    def _record(self, op: str, output: Tensor,
+    def _record(self, output: Tensor,
                 inputs: list[tuple[Tensor, Callable]],
                 params: list[tuple[Tensor, Callable]]) -> None:
         for tensor, _ in params:
             self._params.setdefault(id(tensor), tensor)
-        self._records.append(_Record(op, output, inputs + params))
+        self._records.append((output, inputs + params))
         self._outputs.add(id(output))
 
 

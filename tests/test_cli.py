@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -96,6 +97,18 @@ class TestScore:
         assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_manifest_reports_no_pool(self, genome_file, tmp_path):
+        path, _ = genome_file
+        out = tmp_path / "score.json"
+        code, _, _ = run_cli(["score", str(path), "--seed", "3", *FAST,
+                              "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "score.json.manifest.json").read_text())
+        assert "seed" not in manifest  # config.seed is the one replay reads
+        assert "threads" not in manifest["config"]
+        assert manifest["environment"]["evaluator_threads"] == 1
+        assert manifest["environment"]["blas_threads_in_pool"] is None
+
     def test_replay_detects_changed_input(self, genome_file, tmp_path):
         path, genome = genome_file
         out1 = tmp_path / "score.json"
@@ -114,7 +127,15 @@ SEARCH_FAST = ["search", "--family", "resnet_like", "--strides", "1",
                "--population", "6", "--generations", "2", *FAST]
 
 
-# (CLI arguments, "{genome}" standing for the genome file; field the error names)
+# stage-0 fields overwritten in the "{genome}" file to give the named placeholder
+BAD_GENOMES = {
+    "{repeats_float}": {"repeats": 1.9},
+    "{repeats_text}": {"repeats": "x"},
+    "{stride_bool}": {"stride": True},
+}
+
+# (CLI arguments, "{genome}" standing for the genome file and "{records}" for
+# a records file of it; field the error names)
 BAD_INPUT_CASES = [
     (["score", "{genome}", "--beta", "-1"], b"beta"),
     (["score", "{genome}", "--beta", "nan"], b"beta"),
@@ -132,14 +153,32 @@ BAD_INPUT_CASES = [
     ([*SEARCH_FAST, "--conv-modes", "regular,group", "--channels", "16,24"],
      b"conv_modes"),
     ([*SEARCH_FAST, "--conv-modes", "regular,depthwise"], b"conv_modes"),
+    ([*SEARCH_FAST, "--threads", "0"], b"--threads"),
+    (["correlate", "--records", "{records}", "--resolution", "0x0", *FAST],
+     b"resolution"),
+    (["score", "{repeats_float}", *FAST], b"stages[0].repeats"),
+    (["latency", "{repeats_text}"], b"stages[0].repeats"),
+    (["score", "{stride_bool}", *FAST], b"stages[0].stride"),
 ]
 
 
 class TestValidation:
-    def test_bad_input_exits_2_naming_field(self, genome_file):
-        path, _ = genome_file
+    def test_bad_input_exits_2_naming_field(self, genome_file, tmp_path):
+        path, genome = genome_file
+        files = {"{genome}": str(path)}
+        records = tmp_path / "records.jsonl"
+        records.write_text("".join(
+            json.dumps({"id": f"r{i}", "genome": genome_to_dict(genome),
+                        "test_accuracy": 50.0 + i}) + "\n" for i in range(3)))
+        files["{records}"] = str(records)
+        for name, fields in BAD_GENOMES.items():
+            obj = genome_to_dict(genome)
+            obj["stages"][0].update(fields)
+            bad = tmp_path / f"{name.strip('{}')}.json"
+            bad.write_text(json.dumps(obj))
+            files[name] = str(bad)
         for args, field in BAD_INPUT_CASES:
-            args = [str(path) if a == "{genome}" else a for a in args]
+            args = [files.get(a, a) for a in args]
             code, out, err = run_cli(args)
             assert code == 2, (args, err.decode())
             assert out == b"", args
@@ -255,12 +294,33 @@ class TestLatency:
         table = LatencyTable(entries={layer_key(l): 2.5 for l in graph.layers})
         table_path = tmp_path / "t.csv"
         save_table(table, table_path)
-        code, out, _ = run_cli(["latency", str(path), "--table", str(table_path),
-                                "--seed", "0"])
+        code, out, _ = run_cli(["latency", str(path), "--table", str(table_path)])
         assert code == 0
         result = json.loads(out)
         assert result["total_us"] == 2.5 * len(graph.layers)
         assert result["misses"] == 0
+
+    def test_old_manifest_with_seed_and_threads_replays(self, genome_file, tmp_path):
+        path, _ = genome_file
+        fresh = tmp_path / "fresh.json"
+        assert run_cli(["latency", str(path), "--out", str(fresh)])[0] == 0
+        # the older manifest format: a top-level seed, and latency's config
+        # carrying the --seed and --threads it never read
+        old = {
+            "subcommand": "latency",
+            "tool_version": "0.1.0",
+            "seed": 3,
+            "config": {"command": "latency", "genome": str(path), "table": None,
+                       "fallback_us_per_mac": 0.001, "seed": 3, "threads": 2},
+            "input_digests": {str(path): hashlib.sha256(path.read_bytes()).hexdigest()},
+        }
+        manifest_path = tmp_path / "old.manifest.json"
+        manifest_path.write_text(json.dumps(old))
+        replay = tmp_path / "replay.json"
+        code, _, err = run_cli(["latency", "--from-manifest", str(manifest_path),
+                                "--out", str(replay)])
+        assert code == 0, err.decode()
+        assert replay.read_bytes() == fresh.read_bytes()
 
     def test_bad_table_exits_2(self, genome_file, tmp_path):
         path, _ = genome_file
@@ -372,12 +432,24 @@ class TestParetoPlotdata:
         assert float(latency) == 123.5
 
 
+# the shared options each subcommand offers: --seed where it scores,
+# --threads where it runs the evaluator pool
+SHARED_OPTIONS = {
+    "score": {"--seed", "--out", "--from-manifest"},
+    "search": {"--seed", "--threads", "--out", "--from-manifest"},
+    "correlate": {"--seed", "--threads", "--out", "--from-manifest"},
+    "latency": {"--out", "--from-manifest"},
+    "pareto-plotdata": {"--out", "--from-manifest"},
+}
+
+
 class TestHelp:
     def test_every_subcommand_has_help(self):
-        for cmd in ("score", "search", "correlate", "latency", "pareto-plotdata"):
+        for cmd, offered in SHARED_OPTIONS.items():
             code, out, _ = run_cli([cmd, "--help"])
             assert code == 0
-            assert b"--seed" in out
+            for option in ("--seed", "--threads", "--out", "--from-manifest"):
+                assert (option.encode() in out) == (option in offered), (cmd, option)
 
     def test_in_process_entry_point(self, tmp_path, capsys):
         genome = random_genome(np.random.default_rng(1), max_stages=1)
