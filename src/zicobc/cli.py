@@ -282,7 +282,12 @@ def _load_manifest_args(parser: argparse.ArgumentParser,
     name = manifest["subcommand"]
     if name not in _COMMANDS:
         raise ManifestError(f"unknown subcommand {name!r} in manifest")
-    replayed = argparse.Namespace(**manifest["config"])
+    # keep only the options this subcommand still defines: older manifests
+    # may carry ones it has since dropped
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {action.dest for action in sub.choices[name]._actions}
+    replayed = argparse.Namespace(
+        **{k: v for k, v in manifest["config"].items() if k in known})
     replayed.command = name
     replayed.func = _COMMANDS[name]
     replayed.from_manifest = None

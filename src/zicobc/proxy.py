@@ -41,7 +41,6 @@ class LayerStats:
 @dataclass
 class GradientStats:
     layers: list[LayerStats]
-    batch_count: int
 
 
 @dataclass
@@ -164,7 +163,7 @@ class GradientAccumulator:
                        var_grad=self._m2[li] / (self.count - 1))
             for li in range(len(self._mean_sgn))
         ]
-        return GradientStats(layers=layers, batch_count=self.count)
+        return GradientStats(layers=layers)
 
 
 def gather_gradient_stats(graph: LayerGraph, batches, mode: str = "abs") -> GradientStats:

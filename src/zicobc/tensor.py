@@ -120,6 +120,12 @@ class Tape:
     arguments of ops (conv/dense weights and biases); after backward every
     parameter has a gradient slot, zero when the parameter does not reach
     the loss.
+
+    A conv keeps its padded input, not its im2col columns: the weight
+    gradient rebuilds the columns, and a depthwise input gradient adds
+    its taps directly, which is faster than a GEMM plus col2im there.
+    Backward consumes the tape, freeing each record once it has been
+    pulled, so a second backward raises TapeError.
     """
 
     def __init__(self) -> None:
@@ -158,27 +164,41 @@ class Tape:
         xp = x.data
         if padding:
             xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        cols = _im2col(xp, kh, kw, stride, h_out, w_out)  # (n, c_in*kh*kw, L)
         L = h_out * w_out
         ckk = c_in_g * kh * kw
-        cols_g = cols.reshape(n, groups, ckk, L)
+
+        def columns() -> np.ndarray:
+            # rebuilt for the weight gradient rather than kept on the tape:
+            # same values, same GEMM, same bytes
+            return _im2col(xp, kh, kw, stride, h_out, w_out).reshape(n, groups, ckk, L)
+
         w_g = weight.data.reshape(groups, c_out // groups, ckk)
-        out = np.matmul(w_g[None], cols_g)  # (n, groups, c_out/g, L)
+        out = np.matmul(w_g[None], columns())  # (n, groups, c_out/g, L)
         out = out.reshape(n, c_out, h_out, w_out)
         result = Tensor(out)
 
-        x_padded_shape = xp.shape
-
         def pull_weight(go: np.ndarray) -> np.ndarray:
             go_g = go.reshape(n, groups, c_out // groups, L)
-            gw = np.matmul(go_g, cols_g.transpose(0, 1, 3, 2)).sum(axis=0)
+            gw = np.matmul(go_g, columns().transpose(0, 1, 3, 2)).sum(axis=0)
             return gw.reshape(weight.shape)
 
         def pull_x(go: np.ndarray) -> np.ndarray:
-            go_g = go.reshape(n, groups, c_out // groups, L)
-            gcols = np.matmul(w_g.transpose(0, 2, 1)[None], go_g)
-            gcols = gcols.reshape(n, c_in * kh * kw, L)
-            gxp = _col2im(gcols, x_padded_shape, kh, kw, stride, h_out, w_out)
+            if groups == c_in == c_out:
+                # depthwise: the GEMM's inner dimension is 1, so each column
+                # entry is one exact product; adding the taps in col2im's
+                # (i, j) order gives the same bytes in less time, which pays
+                # for pull_weight rebuilding the columns
+                gxp = np.zeros(xp.shape)
+                taps = weight.data[:, 0]
+                for i in range(kh):
+                    for j in range(kw):
+                        gxp[:, :, i:i + stride * h_out:stride,
+                            j:j + stride * w_out:stride] += taps[:, i, j, None, None] * go
+            else:
+                go_g = go.reshape(n, groups, c_out // groups, L)
+                gcols = np.matmul(w_g.transpose(0, 2, 1)[None], go_g)
+                gcols = gcols.reshape(n, c_in * kh * kw, L)
+                gxp = _col2im(gcols, xp.shape, kh, kw, stride, h_out, w_out)
             if padding:
                 gxp = gxp[:, :, padding:padding + h, padding:padding + w]
             return gxp
@@ -280,14 +300,20 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate every parameter gradient slot with d(loss)/d(param)."""
         if not self._records:
-            raise TapeError("backward on an empty tape")
+            raise TapeError("backward on an empty tape, or one whose backward "
+                            "already ran")
         if loss.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
         if id(loss) not in self._outputs:
             raise TapeError("loss was not produced by ops on this tape")
 
+        # Each record is dropped once pulled, freeing its activations and
+        # padded inputs. The id()-keyed adjoints stay sound: every tensor
+        # looked up is held by a record not yet popped, so it has been alive
+        # since before the pass began and no freed tensor shares its id.
         adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for output, pulls in reversed(self._records):
+        while self._records:
+            output, pulls = self._records.pop()
             go = adjoint.pop(id(output), None)
             if go is None:
                 continue

@@ -10,7 +10,7 @@ import numpy as np
 
 from zicobc.network import Genome, LayerGraph, StageGene
 from zicobc.proxy import _openblas
-from zicobc.tensor import Tensor
+from zicobc.tensor import Tape, Tensor, _col2im, _im2col
 
 
 def random_genome(rng: np.random.Generator, family: str | None = None,
@@ -114,3 +114,41 @@ def blas_threads_set_to(count: int):
         yield
     finally:
         set_(saved)
+
+
+class ColumnKeepingTape(Tape):
+    """A tape whose conv records keep their im2col columns.
+
+    This is `Tape.conv2d` as it was before convs kept only their padded
+    input: the columns are built once and held for the weight gradient,
+    and every input gradient is a GEMM followed by col2im. The
+    byte-identity tests compare `Tape` against it.
+    """
+
+    def conv2d(self, x: Tensor, weight: Tensor, stride: int = 1,
+               padding: int = 0, groups: int = 1) -> Tensor:
+        n, c_in, h, w = x.shape
+        c_out, c_in_g, kh, kw = weight.shape
+        h_out = (h + 2 * padding - kh) // stride + 1
+        w_out = (w + 2 * padding - kw) // stride + 1
+        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        L = h_out * w_out
+        ckk = c_in_g * kh * kw
+        cols_g = _im2col(xp, kh, kw, stride, h_out, w_out).reshape(n, groups, ckk, L)
+        w_g = weight.data.reshape(groups, c_out // groups, ckk)
+        result = Tensor(np.matmul(w_g[None], cols_g).reshape(n, c_out, h_out, w_out))
+
+        def pull_weight(go: np.ndarray) -> np.ndarray:
+            go_g = go.reshape(n, groups, c_out // groups, L)
+            gw = np.matmul(go_g, cols_g.transpose(0, 1, 3, 2)).sum(axis=0)
+            return gw.reshape(weight.shape)
+
+        def pull_x(go: np.ndarray) -> np.ndarray:
+            go_g = go.reshape(n, groups, c_out // groups, L)
+            gcols = np.matmul(w_g.transpose(0, 2, 1)[None], go_g)
+            gxp = _col2im(gcols.reshape(n, c_in * kh * kw, L), xp.shape,
+                          kh, kw, stride, h_out, w_out)
+            return gxp[:, :, padding:padding + h, padding:padding + w]
+
+        self._record(result, [(x, pull_x)], [(weight, pull_weight)])
+        return result

@@ -354,8 +354,7 @@ def test_criterion_6_bias_reproduction():
         def stats_for(d):
             return GradientStats(
                 layers=[LayerStats(np.array([m]), np.array([v]))
-                        for m, v in stage * d],
-                batch_count=2)
+                        for m, v in stage * d])
 
         base = zico_score(stats_for(1))
         for d in range(1, 9):

@@ -321,6 +321,11 @@ class TestLatency:
                                 "--out", str(replay)])
         assert code == 0, err.decode()
         assert replay.read_bytes() == fresh.read_bytes()
+        # the new manifest drops the options latency no longer has
+        written = json.loads((tmp_path / "replay.json.manifest.json").read_text())
+        assert "seed" not in written["config"] and "threads" not in written["config"]
+        assert written["environment"]["evaluator_threads"] == 1
+        assert written["environment"]["blas_threads_in_pool"] is None
 
     def test_bad_table_exits_2(self, genome_file, tmp_path):
         path, _ = genome_file

@@ -38,7 +38,6 @@ def stats_of(pairs) -> GradientStats:
     return GradientStats(
         layers=[LayerStats(mean_abs_grad=np.array([m]), var_grad=np.array([v]))
                 for m, v in pairs],
-        batch_count=2,
     )
 
 
@@ -183,7 +182,7 @@ class TestZicoScore:
 
     def test_empty_stats_error(self):
         with pytest.raises(ProxyError, match="empty"):
-            zico_score(GradientStats(layers=[], batch_count=2))
+            zico_score(GradientStats(layers=[]))
 
 
 class TestDepthWidthPenalty:

@@ -1,10 +1,14 @@
 import concurrent.futures
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from helpers import tensor_digest
+from helpers import ColumnKeepingTape, parameter_tensors, tensor_digest
+from zicobc.network import Genome, StageGene, compile_genome, init_weights
+from zicobc.proxy import make_batches
 from zicobc.tensor import (
     ShapeMismatchError,
     Tape,
@@ -182,15 +186,104 @@ class TestBackward:
         with pytest.raises(TapeError, match="not produced"):
             tape.backward(Tensor([1.0]))
 
+    def test_second_backward_raises(self):
+        tape = Tape()
+        w = Tensor([[0.37]])
+        y = tape.dense(Tensor([[2.0]]), w)
+        tape.backward(y)
+        with pytest.raises(TapeError, match="whose backward already ran"):
+            tape.backward(y)
+        assert tape.grad(w).item() == 2.0
+
+
+class TestTapeMemory:
+    def test_conv_keeps_less_than_its_columns(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(2, 8, 16, 16)))
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)))
+        columns_bytes = 2 * (8 * 3 * 3) * (16 * 16) * 8  # 294,912
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = tape.conv2d(x, w, padding=1)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2, 8, 16, 16)
+        assert kept < columns_bytes, f"forward kept {kept} bytes"
+
+    def test_backward_frees_intermediate_activations(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(2, 2, 5, 5)))
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        wd = Tensor(rng.normal(size=(4, 3)))
+        tape = Tape()
+
+        def forward():
+            h = tape.conv2d(x, w, padding=1)
+            hidden = weakref.ref(h.data)
+            h = tape.global_avg_pool(tape.relu(h))
+            return hidden, tape.cross_entropy_loss(tape.dense(h, wd), [0, 3])
+
+        hidden, loss = forward()
+        assert hidden() is not None
+        tape.backward(loss)
+        assert hidden() is None
+        assert tape.grad(w).shape == w.shape
+
+
+def _genome(family, conv_mode, stride, kernel, rng):
+    """A two-stage genome whose second stage has the given mode, stride, kernel.
+
+    resnet_like group stages get 64 channels (depthwise) and 96 channels
+    (3 per group) in random order.
+    """
+    depthwise = conv_mode == "depthwise"
+    channels = rng.choice((16, 24, 32), 2) if depthwise else rng.permutation([64, 96])
+    stages = tuple(
+        StageGene(repeats=int(rng.integers(1, 3)), channels=int(c),
+                  kernel=kernel, conv_mode=conv_mode, stride=s)
+        for c, s in zip(channels, (1, stride)))
+    return Genome(family=family, stages=stages,
+                  stem_channels=int(rng.choice([8, 16])), num_classes=4,
+                  input_resolution=(8, 8),
+                  expansion=int(rng.choice([1, 2])) if depthwise else 4)
+
+
+class TestColumnFreeConv:
+    """`Tape` gives the bytes of a tape that keeps its im2col columns."""
+
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("family,conv_mode", [("effnet_like", "depthwise"),
+                                                  ("resnet_like", "group")])
+    def test_gradients_match_column_keeping_tape(self, family, conv_mode,
+                                                 stride, kernel):
+        rng = np.random.default_rng([stride, kernel, len(family)])
+        graph = init_weights(compile_genome(_genome(family, conv_mode, stride,
+                                                    kernel, rng)), seed=5)
+        assert any(layer.groups == layer.in_channels == layer.out_shape[0] > 1
+                   for layer in graph.layers), "no depthwise conv in the genome"
+        x, labels = make_batches(graph, 2, 2, seed=9)[0]
+        grads = []
+        for tape in (ColumnKeepingTape(), Tape()):
+            loss = tape.cross_entropy_loss(graph.forward(tape, x), labels)
+            tape.backward(loss)
+            grads.append([loss.data.tobytes()] + [tape.grad(t).data.tobytes()
+                                                  for t in parameter_tensors(graph)])
+        assert grads[0] == grads[1]
+
 
 class TestFiniteDifferenceOracle:
     """Every op kind checked against central finite differences."""
 
     def test_conv2d(self):
         rng = np.random.default_rng(11)
-        for _ in range(12):
-            groups = int(rng.choice([1, 2]))
-            c_in, c_out = 2 * groups, 2 * groups
+        for trial in range(18):
+            depthwise = trial >= 12  # one channel per group
+            groups = int(rng.choice([2, 3] if depthwise else [1, 2]))
+            c_in = c_out = groups if depthwise else 2 * groups
             k = int(rng.choice([1, 3]))
             s = int(rng.choice([1, 2]))
             x = Tensor(rng.normal(size=(1, c_in, 4, 4)))
@@ -333,6 +426,30 @@ class TestFiniteDifferenceOracle:
                 (wd, lambda t: run(w1, w2, t)[1].item()),
             ]:
                 assert_close_to_fd(tape.grad(param).data, finite_diff_grad(rebuild, param))
+
+
+    @pytest.mark.parametrize("stride,k", [(1, 3), (2, 3), (1, 5), (2, 5)])
+    def test_regular_then_depthwise_conv(self, stride, k):
+        # the depthwise conv's input gradient is what reaches w1
+        rng = np.random.default_rng(18 + 10 * stride + k)
+        x = Tensor(rng.normal(size=(1, 2, 6, 6)))
+        w1 = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        w2 = Tensor(rng.normal(size=(3, 1, k, k)))
+        ho = (6 + 2 * (k // 2) - k) // stride + 1
+        probe = rng.normal(size=(1, 3, ho, ho))
+
+        def run(a, b):
+            tape = Tape()
+            h = tape.conv2d(x, a, padding=1)
+            out = tape.conv2d(h, b, stride=stride, padding=k // 2, groups=3)
+            return tape, probe_to_scalar(tape, out, probe)
+
+        tape, loss = run(w1, w2)
+        tape.backward(loss)
+        assert_close_to_fd(tape.grad(w1).data,
+                           finite_diff_grad(lambda t: run(t, w2)[1].item(), w1))
+        assert_close_to_fd(tape.grad(w2).data,
+                           finite_diff_grad(lambda t: run(w1, t)[1].item(), w2))
 
 
 class TestSeededFill:
