@@ -34,7 +34,6 @@ from .network import (
     init_weights,
     layer_macs,
     mutate,
-    validate_genome,
 )
 from .proxy import (
     GradientStats,
@@ -68,7 +67,7 @@ __all__ = [
     "Genome", "GenomeError", "LayerGraph", "StageGene",
     "compile_genome", "count_macs", "count_params", "crossover",
     "genome_from_json", "genome_to_json", "init_weights", "layer_macs",
-    "mutate", "validate_genome",
+    "mutate",
     "GradientStats", "ProxyError", "ProxyScore", "ScoreSettings",
     "depth_width_penalty", "gather_gradient_stats", "make_batches",
     "score_genome", "zico_bc_score", "zico_score",

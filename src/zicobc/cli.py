@@ -37,11 +37,12 @@ from .latency import (
     load_table,
 )
 from .network import (
+    FAMILIES,
     GenomeError,
     compile_genome,
     genome_from_json,
 )
-from .proxy import ProxyError, ScoreSettings, blas_threads, score_genome
+from .proxy import STAT_MODES, ProxyError, ScoreSettings, blas_threads, score_genome
 from .search import (
     EvaluationFailure,
     GenomeSpace,
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser(
         "search", help="latency-aware evolutionary search over a genome space")
-    p_search.add_argument("--family", choices=("effnet_like", "resnet_like"),
+    p_search.add_argument("--family", choices=FAMILIES,
                           default="effnet_like", help="block family (default: %(default)s)")
     p_search.add_argument("--strides", default="1,2,2",
                           help="per-stage strides, comma separated (default: %(default)s)")
@@ -113,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--conv-modes", default="regular,group",
                           help="convolution mode choices (default: %(default)s)")
     p_search.add_argument("--expansions", default="4",
-                          help="effnet_like expansion choices (default: %(default)s)")
+                          help="effnet_like expansion choices; resnet_like takes "
+                               "only 4 (default: %(default)s)")
     p_search.add_argument("--stem-channels", type=int, default=16,
                           help="stem width (default: %(default)s)")
     p_search.add_argument("--num-classes", type=int, default=10,
@@ -177,7 +179,7 @@ def _add_proxy_flags(p: argparse.ArgumentParser) -> None:
                    help="gradient batches per score (default: %(default)s)")
     p.add_argument("--batch-size", type=int, default=8,
                    help="samples per batch (default: %(default)s)")
-    p.add_argument("--stat-mode", choices=("abs", "signed"), default="abs",
+    p.add_argument("--stat-mode", choices=STAT_MODES, default="abs",
                    help="gradient mean numerator (default: %(default)s)")
     p.add_argument("--resolution", default=None,
                    help="input resolution HxW (default: the genome's own value; "

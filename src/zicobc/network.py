@@ -54,12 +54,55 @@ class StageGene:
 
 @dataclass(frozen=True)
 class Genome:
+    """An architecture; one that exists is valid.
+
+    Construction, `dataclasses.replace` included, raises `GenomeError`
+    naming the first bad field, so no caller re-checks a genome.
+    """
+
     family: str
     stages: tuple[StageGene, ...]
     stem_channels: int
     num_classes: int
     input_resolution: tuple[int, int]
     expansion: int = 4  # effnet_like bottleneck expansion; ignored by resnet_like
+
+    def __post_init__(self) -> None:
+        if len(self.input_resolution) != 2:
+            raise GenomeError(f"input_resolution: need 2 extents (HxW), "
+                              f"got {len(self.input_resolution)}")
+        h, w = self.input_resolution
+        numbers = [(f"stages[{i}].{name}", getattr(gene, name))
+                   for i, gene in enumerate(self.stages)
+                   for name in ("repeats", "channels", "kernel", "stride")]
+        numbers += [("stem_channels", self.stem_channels), ("num_classes", self.num_classes),
+                    ("input_resolution[0]", h), ("input_resolution[1]", w),
+                    ("expansion", self.expansion)]
+        for field, value in numbers:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise GenomeError(f"{field}: must be a JSON integer, got {value!r}")
+        if self.family not in FAMILIES:
+            raise GenomeError(f"family: unknown family {self.family!r}")
+        if not 1 <= len(self.stages) <= MAX_STAGES:
+            raise GenomeError(f"stages: need 1..{MAX_STAGES} stages, got {len(self.stages)}")
+        if self.stem_channels < 1 or self.stem_channels % CHANNEL_STEP != 0:
+            raise GenomeError(
+                f"stem_channels: must be a positive multiple of {CHANNEL_STEP}, "
+                f"got {self.stem_channels}")
+        if self.num_classes < 2:
+            raise GenomeError(f"num_classes: need at least 2, got {self.num_classes}")
+        if self.expansion not in EXPANSION_CHOICES:
+            raise GenomeError(f"expansion: must be one of {EXPANSION_CHOICES}, "
+                              f"got {self.expansion}")
+        if h < 1 or w < 1:
+            raise GenomeError(f"input_resolution: extents must be positive, got {h}x{w}")
+        stride_product = 1
+        for i, gene in enumerate(self.stages):
+            _validate_gene(self, i, gene)
+            stride_product *= gene.stride
+        if h % stride_product or w % stride_product:
+            raise GenomeError(
+                f"input_resolution: {h}x{w} not divisible by total stride {stride_product}")
 
 
 @dataclass(frozen=True)
@@ -137,11 +180,11 @@ def resolve_groups(family: str, channels: int, conv_mode: str, expansion: int) -
         for g in RESNET_GROUP_COUNTS:
             if channels % g == 0:
                 return g
-        raise GenomeError(
-            f"conv_mode: group requires channels divisible by 32, got {channels}")
+        raise GenomeError(f"conv_mode: group requires channels divisible by one "
+                          f"of {RESNET_GROUP_COUNTS}, got {channels}")
     if channels % EFFNET_GROUP_COUNT != 0:
-        raise GenomeError(
-            f"conv_mode: group requires channels divisible by 32, got {channels}")
+        raise GenomeError(f"conv_mode: group requires channels divisible by "
+                          f"{EFFNET_GROUP_COUNT}, got {channels}")
     return EFFNET_GROUP_COUNT
 
 
@@ -154,32 +197,6 @@ def mode_is_legal(family: str, channels: int, conv_mode: str) -> bool:
     return True
 
 
-def validate_genome(genome: Genome) -> None:
-    if genome.family not in FAMILIES:
-        raise GenomeError(f"family: unknown family {genome.family!r}")
-    if not 1 <= len(genome.stages) <= MAX_STAGES:
-        raise GenomeError(f"stages: need 1..{MAX_STAGES} stages, got {len(genome.stages)}")
-    if genome.stem_channels < 1 or genome.stem_channels % CHANNEL_STEP != 0:
-        raise GenomeError(
-            f"stem_channels: must be a positive multiple of {CHANNEL_STEP}, "
-            f"got {genome.stem_channels}")
-    if genome.num_classes < 2:
-        raise GenomeError(f"num_classes: need at least 2, got {genome.num_classes}")
-    if genome.expansion not in EXPANSION_CHOICES:
-        raise GenomeError(f"expansion: must be one of {EXPANSION_CHOICES}, "
-                          f"got {genome.expansion}")
-    h, w = genome.input_resolution
-    if h < 1 or w < 1:
-        raise GenomeError(f"input_resolution: extents must be positive, got {h}x{w}")
-    stride_product = 1
-    for i, gene in enumerate(genome.stages):
-        _validate_gene(genome, i, gene)
-        stride_product *= gene.stride
-    if h % stride_product or w % stride_product:
-        raise GenomeError(
-            f"input_resolution: {h}x{w} not divisible by total stride {stride_product}")
-
-
 def _validate_gene(genome: Genome, i: int, gene: StageGene) -> None:
     where = f"stages[{i}]"
     if not 1 <= gene.repeats <= MAX_REPEATS:
@@ -189,7 +206,8 @@ def _validate_gene(genome: Genome, i: int, gene: StageGene) -> None:
             f"{where}.channels: must be a positive multiple of {CHANNEL_STEP}, "
             f"got {gene.channels}")
     if gene.kernel not in KERNEL_CHOICES:
-        raise GenomeError(f"{where}.kernel: must be 3 or 5, got {gene.kernel}")
+        raise GenomeError(f"{where}.kernel: must be one of {KERNEL_CHOICES}, "
+                          f"got {gene.kernel}")
     if gene.stride not in (1, 2):
         raise GenomeError(f"{where}.stride: must be 1 or 2, got {gene.stride}")
     if gene.conv_mode not in CONV_MODES:
@@ -227,39 +245,21 @@ def genome_to_json(genome: Genome) -> str:
     return json.dumps(genome_to_dict(genome), sort_keys=True, separators=(",", ":"))
 
 
-def _json_int(value, field: str) -> int:
-    """A genome number must be a JSON integer: no float, bool or string."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise GenomeError(f"{field}: must be a JSON integer, got {value!r}")
-    return value
-
-
 def genome_from_dict(data: dict) -> Genome:
     try:
-        stages = tuple(
-            StageGene(
-                repeats=_json_int(s["repeats"], f"stages[{i}].repeats"),
-                channels=_json_int(s["channels"], f"stages[{i}].channels"),
-                kernel=_json_int(s["kernel"], f"stages[{i}].kernel"),
-                conv_mode=str(s["conv_mode"]),
-                stride=_json_int(s["stride"], f"stages[{i}].stride"),
-            )
-            for i, s in enumerate(data["stages"])
-        )
-        resolution = data["input_resolution"]
-        genome = Genome(
+        return Genome(
             family=str(data["family"]),
-            stages=stages,
-            stem_channels=_json_int(data["stem_channels"], "stem_channels"),
-            num_classes=_json_int(data["num_classes"], "num_classes"),
-            input_resolution=(_json_int(resolution[0], "input_resolution[0]"),
-                              _json_int(resolution[1], "input_resolution[1]")),
-            expansion=_json_int(data.get("expansion", 4), "expansion"),
+            stages=tuple(StageGene(repeats=s["repeats"], channels=s["channels"],
+                                   kernel=s["kernel"], conv_mode=str(s["conv_mode"]),
+                                   stride=s["stride"])
+                         for s in data["stages"]),
+            stem_channels=data["stem_channels"],
+            num_classes=data["num_classes"],
+            input_resolution=tuple(data["input_resolution"]),
+            expansion=data.get("expansion", 4),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise GenomeError(f"malformed genome object: missing or bad field {exc}") from None
-    validate_genome(genome)
-    return genome
 
 
 def genome_from_json(text: str) -> Genome:
@@ -295,9 +295,6 @@ class _GraphBuilder:
         pad = kernel // 2
         h_out = (h_in + 2 * pad - kernel) // stride + 1
         w_out = (w_in + 2 * pad - kernel) // stride + 1
-        if h_out < 1 or w_out < 1:
-            raise GenomeError(
-                f"input_resolution: spatial extent underflows at layer {len(self.layers) + 1}")
         idx = len(self.layers)
         self.layers.append(ParamLayer(
             index=idx + 1, kind="conv", weight=None, bias=None,
@@ -322,7 +319,6 @@ def compile_genome(genome: Genome) -> LayerGraph:
     `init_weights` turns it into a runnable graph. Padding is always
     kernel // 2 so spatial extents are set by strides alone.
     """
-    validate_genome(genome)
     h, w = genome.input_resolution
     b = _GraphBuilder()
 
@@ -463,8 +459,7 @@ def mutate(genome: Genome, space: GenomeSpace, seed: int) -> Genome:
     rng = np.random.default_rng(_mix(seed, 0x6D75))
     stages = []
     expansion = genome.expansion
-    if len(space.expansion_choices) > 1 and genome.family == "effnet_like" \
-            and rng.random() < EXPANSION_RATE:
+    if len(space.expansion_choices) > 1 and rng.random() < EXPANSION_RATE:
         expansion = _another(space.expansion_choices, expansion, rng)
     for gene in genome.stages:
         repeats = gene.repeats
@@ -484,9 +479,7 @@ def mutate(genome: Genome, space: GenomeSpace, seed: int) -> Genome:
             mode = next(m for m in space.conv_modes
                         if mode_is_legal(genome.family, channels, m))
         stages.append(StageGene(repeats, channels, kernel, mode, gene.stride))
-    child = replace(genome, stages=tuple(stages), expansion=expansion)
-    validate_genome(child)
-    return child
+    return replace(genome, stages=tuple(stages), expansion=expansion)
 
 
 def crossover(a: Genome, b: Genome, seed: int) -> Genome:
@@ -507,7 +500,8 @@ def crossover(a: Genome, b: Genome, seed: int) -> Genome:
         stages.append(StageGene(repeats=pick.repeats, channels=pick.channels,
                                 kernel=pick.kernel, conv_mode=pick.conv_mode,
                                 stride=ga.stride))
-    child = Genome(
+    # genes are inherited whole from one valid parent, so no repair is needed
+    return Genome(
         family=a.family,
         stages=tuple(stages),
         stem_channels=(b if rng.random() < 0.5 else a).stem_channels,
@@ -515,7 +509,3 @@ def crossover(a: Genome, b: Genome, seed: int) -> Genome:
         input_resolution=a.input_resolution,
         expansion=(b if rng.random() < 0.5 else a).expansion,
     )
-    # per-stage genes are inherited whole from one valid parent, so no
-    # repair is needed; validation guards against exotic parent mixes
-    validate_genome(child)
-    return child

@@ -34,7 +34,6 @@ from .network import (
     genome_to_json,
     mode_is_legal,
     mutate as genome_mutate,
-    validate_genome,
 )
 from .proxy import ProxyScore, parallel_map
 
@@ -402,6 +401,10 @@ class GenomeSpace:
                      "expansion_choices"):
             if not getattr(self, name):
                 raise SearchConfigError(f"{name}: empty list")
+        if self.family == "resnet_like" and tuple(self.expansion_choices) != (4,):
+            raise SearchConfigError(
+                f"expansion_choices: resnet_like blocks have no expansion, so only "
+                f"(4,) may be declared, got {tuple(self.expansion_choices)}")
         bad_modes = [m for m in self.conv_modes if m not in CONV_MODES]
         if not self.conv_modes or bad_modes:
             raise SearchConfigError(f"unknown conv modes {bad_modes or '(empty)'}")
@@ -410,8 +413,8 @@ class GenomeSpace:
                 raise SearchConfigError(
                     f"no legal conv mode for {c} channels with modes "
                     f"{self.conv_modes} in family {self.family}")
-        # validate_genome checks each stage value on its own, so varying one
-        # knob at a time covers every genome `sample` can draw
+        # a Genome checks each stage value on its own, so varying one knob
+        # at a time covers every genome `sample` can draw
         first = (self.repeat_choices[0], self.channel_choices[0],
                  self.kernel_choices[0], self.expansion_choices[0])
         witnesses = [first]
@@ -423,7 +426,7 @@ class GenomeSpace:
                                      self._legal_modes(channels)[0], s)
                            for s in self.strides)
             try:
-                validate_genome(self._genome(stages, expansion))
+                self._genome(stages, expansion)
             except GenomeError as exc:
                 raise SearchConfigError(f"search space: {exc}") from None
         unused = [m for m in self.conv_modes
@@ -444,7 +447,7 @@ class GenomeSpace:
             stem_channels=self.stem_channels,
             num_classes=self.num_classes,
             input_resolution=self.input_resolution,
-            expansion=expansion if self.family == "effnet_like" else 4,
+            expansion=expansion,
         )
 
     def _gene(self, rng: np.random.Generator, stride: int) -> StageGene:

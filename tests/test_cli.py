@@ -127,11 +127,13 @@ SEARCH_FAST = ["search", "--family", "resnet_like", "--strides", "1",
                "--population", "6", "--generations", "2", *FAST]
 
 
-# stage-0 fields overwritten in the "{genome}" file to give the named placeholder
+# (stage-0 fields, genome fields) overwritten in the "{genome}" file to give
+# the named placeholder
 BAD_GENOMES = {
-    "{repeats_float}": {"repeats": 1.9},
-    "{repeats_text}": {"repeats": "x"},
-    "{stride_bool}": {"stride": True},
+    "{repeats_float}": ({"repeats": 1.9}, {}),
+    "{repeats_text}": ({"repeats": "x"}, {}),
+    "{stride_bool}": ({"stride": True}, {}),
+    "{resolution_3d}": ({}, {"input_resolution": [8, 8, 7]}),
 }
 
 # (CLI arguments, "{genome}" standing for the genome file and "{records}" for
@@ -147,6 +149,7 @@ BAD_INPUT_CASES = [
     ([*SEARCH_FAST, "--fallback-us-per-mac", "nan"], b"fallback_us_per_mac"),
     ([*SEARCH_FAST, "--latency-ceiling-us", "nan"], b"latency_ceiling_us"),
     ([*SEARCH_FAST, "--family", "effnet_like", "--expansions", "3"], b"expansion"),
+    ([*SEARCH_FAST, "--expansions", "2"], b"expansion_choices"),
     ([*SEARCH_FAST, "--stem-channels", "12"], b"stem_channels"),
     ([*SEARCH_FAST, "--num-classes", "1"], b"num_classes"),
     ([*SEARCH_FAST, "--strides", ",".join(["1"] * 9)], b"stages"),
@@ -159,6 +162,7 @@ BAD_INPUT_CASES = [
     (["score", "{repeats_float}", *FAST], b"stages[0].repeats"),
     (["latency", "{repeats_text}"], b"stages[0].repeats"),
     (["score", "{stride_bool}", *FAST], b"stages[0].stride"),
+    (["latency", "{resolution_3d}"], b"input_resolution"),
 ]
 
 
@@ -171,9 +175,10 @@ class TestValidation:
             json.dumps({"id": f"r{i}", "genome": genome_to_dict(genome),
                         "test_accuracy": 50.0 + i}) + "\n" for i in range(3)))
         files["{records}"] = str(records)
-        for name, fields in BAD_GENOMES.items():
+        for name, (gene_fields, fields) in BAD_GENOMES.items():
             obj = genome_to_dict(genome)
-            obj["stages"][0].update(fields)
+            obj["stages"][0].update(gene_fields)
+            obj.update(fields)
             bad = tmp_path / f"{name.strip('{}')}.json"
             bad.write_text(json.dumps(obj))
             files[name] = str(bad)

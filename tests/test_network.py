@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from zicobc.network import (
     genome_to_json,
     init_weights,
     mutate,
-    validate_genome,
 )
 from zicobc.proxy import depth_width_penalty
 from zicobc.search import GenomeSpace
@@ -53,37 +54,56 @@ GROUPED_GENOMES = [
 ]
 
 
+# (stage-0 fields, genome fields) that make single_stage_genome() invalid,
+# and the field the error names
+INVALID_FIELDS = [
+    ({"repeats": 1.9}, {}, "stages[0].repeats"),
+    ({"stride": True}, {}, "stages[0].stride"),
+    ({"channels": "64"}, {}, "stages[0].channels"),
+    ({}, {"input_resolution": (8, 8, 7)}, "input_resolution"),
+    ({}, {"expansion": 3}, "expansion"),
+    ({"stride": 2}, {"input_resolution": (7, 7)}, "input_resolution"),
+]
+
+
 class TestValidation:
     def test_valid_genome_passes(self):
-        validate_genome(single_stage_genome())
+        single_stage_genome()
 
     def test_group_mode_requires_divisible_channels(self):
-        g = single_stage_genome(channels=24, conv_mode="group")
         with pytest.raises(GenomeError, match="group"):
-            validate_genome(g)
+            single_stage_genome(channels=24, conv_mode="group")
 
     def test_resolution_stride_divisibility(self):
-        g = Genome(
-            family="resnet_like",
-            stages=(StageGene(1, 16, 3, "regular", 2),
-                    StageGene(1, 16, 3, "regular", 2)),
-            stem_channels=8, num_classes=4, input_resolution=(6, 6))
         with pytest.raises(GenomeError, match="divisible"):
-            validate_genome(g)
+            Genome(
+                family="resnet_like",
+                stages=(StageGene(1, 16, 3, "regular", 2),
+                        StageGene(1, 16, 3, "regular", 2)),
+                stem_channels=8, num_classes=4, input_resolution=(6, 6))
 
     def test_depthwise_only_for_effnet(self):
-        g = single_stage_genome(conv_mode="depthwise")
         with pytest.raises(GenomeError, match="depthwise"):
-            validate_genome(g)
-        validate_genome(single_stage_genome(family="effnet_like", conv_mode="depthwise"))
+            single_stage_genome(conv_mode="depthwise")
+        single_stage_genome(family="effnet_like", conv_mode="depthwise")
 
     def test_field_errors_name_field(self):
         with pytest.raises(GenomeError, match="repeats"):
-            validate_genome(single_stage_genome(repeats=0))
+            single_stage_genome(repeats=0)
         with pytest.raises(GenomeError, match="kernel"):
-            validate_genome(single_stage_genome(kernel=7))
+            single_stage_genome(kernel=7)
         with pytest.raises(GenomeError, match="channels"):
-            validate_genome(single_stage_genome(channels=12))
+            single_stage_genome(channels=12)
+
+    @pytest.mark.parametrize("gene_fields,fields,named", INVALID_FIELDS)
+    def test_build_or_replace_to_bad_field_raises_naming_it(self, gene_fields, fields,
+                                                           named):
+        valid = single_stage_genome()
+        stages = (dataclasses.replace(valid.stages[0], **gene_fields),)
+        with pytest.raises(GenomeError, match="^" + re.escape(named)):
+            Genome(**{**vars(valid), "stages": stages, **fields})
+        with pytest.raises(GenomeError, match="^" + re.escape(named)):
+            dataclasses.replace(valid, stages=stages, **fields)
 
 
 class _ShapeRecordingTape(Tape):
@@ -272,11 +292,12 @@ class TestSerialization:
 def space_around(g: Genome, **choices) -> GenomeSpace:
     """A search space with g's family and topology; choices default to every
     repeat count, every multiple of 8 up to 512 channels, both kernels,
-    regular and group modes and every expansion."""
+    regular and group modes and every expansion (only 4 for resnet_like)."""
+    expansions = (1, 2, 4, 6) if g.family == "effnet_like" else (4,)
     choices = {"channel_choices": tuple(range(8, 513, 8)),
                "repeat_choices": tuple(range(1, 13)),
                "kernel_choices": (3, 5), "conv_modes": ("regular", "group"),
-               "expansion_choices": (1, 2, 4, 6), **choices}
+               "expansion_choices": expansions, **choices}
     return GenomeSpace(family=g.family, strides=tuple(s.stride for s in g.stages),
                        stem_channels=g.stem_channels, num_classes=g.num_classes,
                        input_resolution=g.input_resolution, **choices)
@@ -333,8 +354,8 @@ class TestVariation:
         g = random_genome(rng)
         space = space_around(g, channel_choices=tuple(range(8, 129, 8)))
         for seed in range(2000):
-            g2 = mutate(g, space, seed=seed)
-            validate_genome(g2)  # raises on violation
+            g2 = mutate(g, space, seed=seed)  # raises GenomeError on violation
+            assert genome_from_json(genome_to_json(g2)) == g2
             if seed % 97 == 0:
                 g = g2  # walk the space a little
 
@@ -345,8 +366,8 @@ class TestVariation:
         # depthwise is declarable only where it is legal: effnet_like
         modes = CONV_MODES if g.family == "effnet_like" else ("regular", "group")
         space = space_around(g, conv_modes=modes)
-        child = mutate(g, space, seed=seed)
-        validate_genome(child)
+        child = mutate(g, space, seed=seed)  # raises GenomeError on violation
+        assert genome_from_json(genome_to_json(child)) == child
         assert child.family == g.family
         assert len(child.stages) == len(g.stages)
         assert tuple(s.stride for s in child.stages) == \

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import blas_threads_set_to
-from zicobc.network import CONV_MODES, EXPANSION_CHOICES, FAMILIES, validate_genome
+from zicobc.network import CONV_MODES, EXPANSION_CHOICES, FAMILIES, genome_from_json
 from zicobc.proxy import blas_threads
 from zicobc.search import (
     EvaluationFailure,
@@ -299,12 +299,12 @@ class TestGenomeSpace:
                             input_resolution=(8, 8), num_classes=4)
         rng = np.random.default_rng(104)
         for _ in range(50):
+            # each is a Genome, which raises GenomeError if built invalid
             g = space.sample(rng)
-            validate_genome(g)
             g2 = space.mutate(g, rng)
-            validate_genome(g2)
             g3 = space.crossover(g, g2, rng)
-            validate_genome(g3)
+            for genome in (g, g2, g3):
+                assert genome_from_json(space.serialize(genome)) == genome
 
     def test_space_validation(self):
         with pytest.raises(SearchConfigError, match="divisible"):
@@ -335,6 +335,10 @@ class TestGenomeSpace:
             GenomeSpace(family="resnet_like", strides=(1,),
                         channel_choices=(16,), repeat_choices=(1,),
                         kernel_choices=(7,))
+        with pytest.raises(SearchConfigError, match="expansion_choices"):
+            GenomeSpace(family="resnet_like", strides=(1,),
+                        channel_choices=(16,), repeat_choices=(1,),
+                        expansion_choices=(2, 4))
 
     @given(family=st.sampled_from(FAMILIES),
            channels=st.lists(st.sampled_from(range(8, 161, 8)), min_size=1,
@@ -354,7 +358,9 @@ class TestGenomeSpace:
                                 repeat_choices=tuple(repeats),
                                 kernel_choices=tuple(kernels),
                                 conv_modes=tuple(modes),
-                                expansion_choices=tuple(expansions),
+                                # resnet_like declares only expansion 4
+                                expansion_choices=tuple(expansions)
+                                if family == "effnet_like" else (4,),
                                 input_resolution=(8, 8), num_classes=4)
         except SearchConfigError:
             assume(False)  # some channel count has no legal declared mode
