@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -97,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "score", help="score one genome and print the proxy JSON")
     p_score.add_argument("genome", nargs="?", help="genome JSON file")
     _add_proxy_flags(p_score)
+    _add_threads_flag(p_score)
     _add_common_flags(p_score)
 
     p_search = sub.add_parser(
@@ -190,9 +192,11 @@ def _add_proxy_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None,
-                   help="evaluator threads (default: available cores); each "
-                        "runs single-threaded BLAS while the pool is up; "
-                        "never affects results")
+                   help="worker threads (default: available cores): search and "
+                        "correlate score one candidate per worker, score splits "
+                        "each conv's samples over them; each runs "
+                        "single-threaded BLAS while the pool is up; never "
+                        "affects results")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -235,11 +239,11 @@ def _build_manifest(args: argparse.Namespace, input_paths: list[str]) -> dict:
         "tool_version": __version__,
         "config": config,
         "input_digests": digests,
-        "environment": _environment(getattr(args, "threads", 1)),
+        "environment": _environment(getattr(args, "threads", None)),
     }
 
 
-def _environment(threads: int) -> dict:
+def _environment(threads: int | None) -> dict:
     """The numeric environment bit-exact replay rests on; replay ignores it."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -249,10 +253,11 @@ def _environment(threads: int) -> dict:
     return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "evaluator_threads": threads,
+        "evaluator_threads": threads or 1,
         "blas_threads": outside,
-        # parallel_map pins BLAS to one thread whenever it fans out
-        "blas_threads_in_pool": 1 if outside is not None and threads > 1 else None,
+        # score_genome runs BLAS at one thread, with or without a pool, so
+        # every subcommand that scores (the ones with --threads) reports 1
+        "blas_threads_in_pool": 1 if outside is not None and threads else None,
     }
 
 
@@ -284,12 +289,16 @@ def _load_manifest_args(parser: argparse.ArgumentParser,
     name = manifest["subcommand"]
     if name not in _COMMANDS:
         raise ManifestError(f"unknown subcommand {name!r} in manifest")
-    # keep only the options this subcommand still defines: older manifests
-    # may carry ones it has since dropped
+    # start from this subcommand's defaults and keep only the options it
+    # still defines: older manifests may lack ones it has since gained
+    # (`threads` for score) and carry ones it has since dropped
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    known = {action.dest for action in sub.choices[name]._actions}
-    replayed = argparse.Namespace(
-        **{k: v for k, v in manifest["config"].items() if k in known})
+    defaults = {action.dest: action.default for action in sub.choices[name]._actions
+                if action.default is not argparse.SUPPRESS}
+    replayed = argparse.Namespace(**defaults)
+    for key, value in manifest["config"].items():
+        if key in defaults:
+            setattr(replayed, key, value)
     replayed.command = name
     replayed.func = _COMMANDS[name]
     replayed.from_manifest = None
@@ -361,7 +370,7 @@ def _score_settings(args: argparse.Namespace) -> ScoreSettings:
 def cmd_score(args: argparse.Namespace) -> int:
     genome = _read_genome(args.genome)
     settings = _score_settings(args)
-    score = score_genome(genome, settings)
+    score = score_genome(genome, settings, threads=args.threads)
     _emit(json.dumps(score.to_json_dict(), indent=2) + "\n", args, [args.genome])
     print(f"zico={score.zico:.6f} penalty={score.penalty:.6f} "
           f"zico_bc={score.zico_bc:.6f} (beta={score.beta})", file=sys.stderr)
@@ -451,14 +460,26 @@ def cmd_pareto_plotdata(args: argparse.Namespace) -> int:
     for i, entry in enumerate(entries):
         try:
             stages = entry["genome"]["stages"]
-            depth = sum(s["repeats"] for s in stages)
-            width = sum(s["repeats"] * s["channels"] for s in stages) / depth
-            score = entry["zico_bc"] if entry.get("zico_bc") is not None \
-                else entry["score"]
-            latency = entry["latency_us"]
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            score_field = "zico_bc" if entry.get("zico_bc") is not None else "score"
+            score, latency = entry[score_field], entry["latency_us"]
+            counts = [(f"stages[{j}].{name}", stage[name])
+                      for j, stage in enumerate(stages) for name in ("repeats", "channels")]
+        except (KeyError, TypeError) as exc:
             raise RecordError(
                 f"{args.archive}: entry {i} malformed: {exc}") from None
+        if not stages:
+            raise RecordError(f"{args.archive}: entry {i}: stages: empty")
+        for field, value in counts:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise RecordError(f"{args.archive}: entry {i}: {field}: must be a "
+                                  f"positive integer, got {value!r}")
+        for field, value in ((score_field, score), ("latency_us", latency)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
+                raise RecordError(f"{args.archive}: entry {i}: {field}: must be a "
+                                  f"finite number, got {value!r}")
+        depth = sum(s["repeats"] for s in stages)
+        width = sum(s["repeats"] * s["channels"] for s in stages) / depth
         lines.append(f"{depth},{width!r},{score!r},{latency!r}")
     _emit("\n".join(lines) + "\n", args, [args.archive])
     print(f"{len(entries)} archive points", file=sys.stderr)

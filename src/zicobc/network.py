@@ -65,7 +65,7 @@ class Genome:
     stem_channels: int
     num_classes: int
     input_resolution: tuple[int, int]
-    expansion: int = 4  # effnet_like bottleneck expansion; ignored by resnet_like
+    expansion: int = 4  # effnet_like bottleneck expansion; always 4 for resnet_like
 
     def __post_init__(self) -> None:
         if len(self.input_resolution) != 2:
@@ -94,6 +94,11 @@ class Genome:
         if self.expansion not in EXPANSION_CHOICES:
             raise GenomeError(f"expansion: must be one of {EXPANSION_CHOICES}, "
                               f"got {self.expansion}")
+        if self.family == "resnet_like" and self.expansion != 4:
+            # nothing reads it, so another value would only split one
+            # architecture into several canonical JSON forms
+            raise GenomeError(f"expansion: resnet_like blocks have no expansion, "
+                              f"so it must be 4, got {self.expansion}")
         if h < 1 or w < 1:
             raise GenomeError(f"input_resolution: extents must be positive, got {h}x{w}")
         stride_product = 1

@@ -11,18 +11,18 @@ feature map, log(H * W / sqrt(C)).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .network import Genome, LayerGraph, compile_genome, init_weights
-from .tensor import Tape, Tensor, seeded_fill
+from .tensor import Tape, Tensor, WorkerPool, seeded_fill
 
 GRAD_EPS = 1e-12
 STAT_MODES = ("abs", "signed")
@@ -166,14 +166,16 @@ class GradientAccumulator:
         return GradientStats(layers=layers)
 
 
-def gather_gradient_stats(graph: LayerGraph, batches, mode: str = "abs") -> GradientStats:
+def gather_gradient_stats(graph: LayerGraph, batches, mode: str = "abs",
+                          pool: WorkerPool | None = None) -> GradientStats:
     """Per-parameter gradient mean and variance across B batches.
 
     Runs one forward and one backward pass per batch; weights are
     read-only tensors and are bit-identical before and after. Variance is
     the unbiased (B - 1 denominator) estimator over signed gradients.
     `mode` selects whether the numerator mean is taken over absolute
-    gradient values (default) or signed ones.
+    gradient values (default) or signed ones. Every batch's tape splits
+    its conv kernels by sample over `pool` when one is given.
     """
     batches = list(batches)
     if len(batches) < 2:
@@ -193,7 +195,7 @@ def gather_gradient_stats(graph: LayerGraph, batches, mode: str = "abs") -> Grad
         if labels.shape != (x.shape[0],):
             raise ProxyError(f"batch {b}: labels shape {labels.shape} does not "
                              f"match batch size {x.shape[0]}")
-        tape = Tape()
+        tape = Tape(pool)
         logits = graph.forward(tape, x)
         loss = tape.cross_entropy_loss(logits, labels)
         tape.backward(loss)
@@ -274,38 +276,65 @@ def zico_bc_score(stats: GradientStats, graph: LayerGraph, beta: float) -> Proxy
     )
 
 
-def score_genome(genome: Genome, settings: ScoreSettings) -> ProxyScore:
-    """Compile, initialize, gather gradient statistics, and score one genome."""
+def score_genome(genome: Genome, settings: ScoreSettings,
+                 threads: int = 1) -> ProxyScore:
+    """Compile, initialize, gather gradient statistics, and score one genome.
+
+    Gradients are gathered with BLAS at one thread. With threads > 1, one
+    pool of that many workers serves all B batches, and each conv splits
+    its kernels by sample over it. The score is the same bytes at any
+    thread count.
+    """
     if settings.resolution is not None:
         genome = replace(genome, input_resolution=settings.resolution)
     graph = init_weights(compile_genome(genome), settings.seed)
     batches = make_batches(graph, settings.batches, settings.batch_size,
                            seed=settings.seed)
-    stats = gather_gradient_stats(graph, batches, mode=settings.stat_mode)
+    with worker_pool(threads) as pool:
+        stats = gather_gradient_stats(graph, batches, mode=settings.stat_mode,
+                                      pool=pool)
     return zico_bc_score(stats, graph, settings.beta)
 
 
 def parallel_map(fn: Callable, items, threads: int) -> list:
     """`[fn(item) for item in items]`, on up to `threads` worker threads.
 
-    Results keep item order. While the pool is up, numpy's bundled
-    OpenBLAS runs single-threaded, so the workers share the cores instead
-    of each starting BLAS threads of its own; the previous count is
-    restored when the pool exits, also when fn raised. One thread or one
-    item runs inline and keeps BLAS's own threading. The BLAS count is
-    process-wide, so run one pool at a time.
+    Results keep item order. One thread or one item runs inline and
+    leaves BLAS's thread count alone.
     """
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    with worker_pool(threads) as pool:
+        return list(pool.map(fn, items))
+
+
+@contextlib.contextmanager
+def worker_pool(threads: int) -> Iterator[WorkerPool | None]:
+    """numpy's bundled OpenBLAS at one thread, and a pool of `threads` workers.
+
+    For one thread no pool is started (None is yielded), but BLAS is
+    pinned all the same: OpenBLAS picks its kernels by its thread count,
+    and some GEMM shapes give other bytes at two threads than at one. In
+    a pool the workers share the cores instead of each starting BLAS
+    threads of its own. The previous count is restored on exit, also on
+    an exception. The count is process-wide, so run one pool at a time;
+    a pool opened inside another's workers finds BLAS at one thread
+    already and leaves it alone.
+    """
     get, set_ = _openblas()
     saved = get()
-    set_(1)
+    if saved != 1:
+        set_(1)
     try:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
+        if threads <= 1:
+            yield None
+        else:
+            with WorkerPool(threads) as pool:
+                yield pool
     finally:
-        set_(saved)
+        if saved != 1:
+            set_(saved)
 
 
 def blas_threads() -> int | None:

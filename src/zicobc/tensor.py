@@ -8,12 +8,13 @@ respect to every parameter can be replayed in reverse execution order.
 
 Everything is float64 and deterministic: identical inputs and seeds give
 bit-identical results, independent of how many evaluations run in
-parallel on other tapes.
+parallel on other tapes and of how many workers a tape's own pool has.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,6 +113,14 @@ def _reject_extras(distribution: str, params: dict) -> None:
         raise TensorError(f"unexpected {distribution} parameters: {sorted(params)}")
 
 
+class WorkerPool(ThreadPoolExecutor):
+    """A thread pool that knows how many workers it has."""
+
+    def __init__(self, workers: int) -> None:
+        super().__init__(max_workers=workers)
+        self.workers = workers
+
+
 class Tape:
     """Records primitive ops and replays them backward for gradients.
 
@@ -126,9 +135,19 @@ class Tape:
     its taps directly, which is faster than a GEMM plus col2im there.
     Backward consumes the tape, freeing each record once it has been
     pulled, so a second backward raises TapeError.
+
+    Given a pool, a conv runs each of its three kernels (forward, weight
+    gradient, input gradient) per sample on it: each worker takes one
+    contiguous run of samples, one sample at a time, and writes disjoint
+    slices of one preallocated result. Every other op, and every Tape
+    method, runs whole-batch on the calling thread. Without a pool each
+    kernel is one numpy call over the whole batch. Per-sample products
+    are the same GEMMs and sums as whole-batch ones, so both give the same
+    bytes.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, pool: WorkerPool | None = None) -> None:
+        self._pool = pool
         # one (output, [(input, adjoint rule), ...]) pair per executed primitive
         self._records: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] = []
         self._params: dict[int, Tensor] = {}
@@ -161,44 +180,58 @@ class Tape:
                 f"conv2d: kernel {kh}x{kw} stride {stride} on {h}x{w} input "
                 f"gives non-positive output extent")
 
+        pool = self._pool  # the closures below must not hold the tape
         xp = x.data
         if padding:
             xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         L = h_out * w_out
         ckk = c_in_g * kh * kw
+        c_out_g = c_out // groups
 
-        def columns() -> np.ndarray:
+        def columns(lo: int, hi: int) -> np.ndarray:
             # rebuilt for the weight gradient rather than kept on the tape:
             # same values, same GEMM, same bytes
-            return _im2col(xp, kh, kw, stride, h_out, w_out).reshape(n, groups, ckk, L)
+            return _im2col(xp[lo:hi], kh, kw, stride, h_out, w_out).reshape(
+                hi - lo, groups, ckk, L)
 
-        w_g = weight.data.reshape(groups, c_out // groups, ckk)
-        out = np.matmul(w_g[None], columns())  # (n, groups, c_out/g, L)
-        out = out.reshape(n, c_out, h_out, w_out)
-        result = Tensor(out)
+        w_g = weight.data.reshape(groups, c_out_g, ckk)
+        out = _by_sample(
+            pool, lambda lo, hi, out: np.matmul(w_g[None], columns(lo, hi), out=out),
+            (n, groups, c_out_g, L))
+        result = Tensor(out.reshape(n, c_out, h_out, w_out))
 
         def pull_weight(go: np.ndarray) -> np.ndarray:
-            go_g = go.reshape(n, groups, c_out // groups, L)
-            gw = np.matmul(go_g, columns().transpose(0, 1, 3, 2)).sum(axis=0)
-            return gw.reshape(weight.shape)
+            go_g = go.reshape(n, groups, c_out_g, L)
+            products = _by_sample(
+                pool, lambda lo, hi, out: np.matmul(
+                    go_g[lo:hi], columns(lo, hi).transpose(0, 1, 3, 2), out=out),
+                (n, groups, c_out_g, ckk))
+            return products.sum(axis=0).reshape(weight.shape)
 
         def pull_x(go: np.ndarray) -> np.ndarray:
-            if groups == c_in == c_out:
-                # depthwise: the GEMM's inner dimension is 1, so each column
-                # entry is one exact product; adding the taps in col2im's
-                # (i, j) order gives the same bytes in less time, which pays
-                # for pull_weight rebuilding the columns
-                gxp = np.zeros(xp.shape)
-                taps = weight.data[:, 0]
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[:, :, i:i + stride * h_out:stride,
-                            j:j + stride * w_out:stride] += taps[:, i, j, None, None] * go
-            else:
-                go_g = go.reshape(n, groups, c_out // groups, L)
-                gcols = np.matmul(w_g.transpose(0, 2, 1)[None], go_g)
-                gcols = gcols.reshape(n, c_in * kh * kw, L)
-                gxp = _col2im(gcols, xp.shape, kh, kw, stride, h_out, w_out)
+            def input_grad(lo: int, hi: int, gxp: np.ndarray | None) -> np.ndarray:
+                if gxp is None:
+                    gxp = np.zeros(xp.shape)
+                go_s = go[lo:hi]
+                if groups == c_in == c_out:
+                    # depthwise: the GEMM's inner dimension is 1, so each
+                    # column entry is one exact product; adding the taps in
+                    # col2im's (i, j) order gives the same bytes in less
+                    # time, which pays for pull_weight rebuilding the columns
+                    taps = weight.data[:, 0]
+                    for i in range(kh):
+                        for j in range(kw):
+                            gxp[:, :, i:i + stride * h_out:stride,
+                                j:j + stride * w_out:stride] += \
+                                taps[:, i, j, None, None] * go_s
+                else:
+                    gcols = np.matmul(w_g.transpose(0, 2, 1)[None],
+                                      go_s.reshape(hi - lo, groups, c_out_g, L))
+                    _col2im(gcols.reshape(hi - lo, c_in * kh * kw, L), gxp,
+                            kh, kw, stride, h_out, w_out)
+                return gxp
+
+            gxp = _by_sample(pool, input_grad, xp.shape)
             if padding:
                 gxp = gxp[:, :, padding:padding + h, padding:padding + w]
             return gxp
@@ -348,6 +381,31 @@ class Tape:
         self._outputs.add(id(output))
 
 
+def _by_sample(pool: WorkerPool | None, kernel: Callable,
+               shape: tuple[int, ...]) -> np.ndarray:
+    """The (n, ...) result of `kernel(lo, hi, out)` over samples [lo, hi).
+
+    Without a pool the kernel runs once over the whole batch with
+    out=None and allocates its result. With one, `out` is a zeroed
+    one-sample slice of a preallocated result: each worker takes one
+    contiguous run of samples and calls the kernel one sample at a time,
+    so temporaries stay one sample in size.
+    """
+    n = shape[0]
+    if pool is None:
+        return kernel(0, n, None)
+    out = np.zeros(shape)
+
+    def run(lo: int, hi: int) -> None:
+        for s in range(lo, hi):
+            kernel(s, s + 1, out[s:s + 1])
+
+    runs = min(pool.workers, n)
+    bounds = [n * r // runs for r in range(runs + 1)]
+    list(pool.map(run, bounds[:-1], bounds[1:]))
+    return out
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
             h_out: int, w_out: int) -> np.ndarray:
     """Extract conv patches from a padded (n, c, h, w) array as (n, c*kh*kw, L)."""
@@ -362,11 +420,10 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
     return patches.reshape(n, c * kh * kw, h_out * w_out)
 
 
-def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
+def _col2im(cols: np.ndarray, out: np.ndarray, kh: int, kw: int,
             stride: int, h_out: int, w_out: int) -> np.ndarray:
-    """Scatter-add (n, c*kh*kw, L) columns back onto the padded input grid."""
-    n, c = x_shape[:2]
-    out = np.zeros(x_shape, dtype=np.float64)
+    """Scatter-add (n, c*kh*kw, L) columns onto the padded (n, c, h, w) `out`."""
+    n, c = out.shape[:2]
     cols = cols.reshape(n, c, kh, kw, h_out, w_out)
     for i in range(kh):
         for j in range(kw):

@@ -146,7 +146,7 @@ class ColumnKeepingTape(Tape):
         def pull_x(go: np.ndarray) -> np.ndarray:
             go_g = go.reshape(n, groups, c_out // groups, L)
             gcols = np.matmul(w_g.transpose(0, 2, 1)[None], go_g)
-            gxp = _col2im(gcols.reshape(n, c_in * kh * kw, L), xp.shape,
+            gxp = _col2im(gcols.reshape(n, c_in * kh * kw, L), np.zeros(xp.shape),
                           kh, kw, stride, h_out, w_out)
             return gxp[:, :, padding:padding + h, padding:padding + w]
 

@@ -489,7 +489,7 @@ def test_criterion_8_cli_determinism(tmp_path):
             "latency": ["latency", str(gpath)],
             "pareto-plotdata": ["pareto-plotdata", str(apath)],
         }
-        pooled = ("search", "correlate")  # the subcommands that take --threads
+        pooled = ("score", "search", "correlate")  # the ones that take --threads
         for name, args in invocations.items():
             outputs = set()
             for threads in ("1", "8"):

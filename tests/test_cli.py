@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,15 +101,62 @@ class TestScore:
 
     def test_manifest_reports_no_pool(self, genome_file, tmp_path):
         path, _ = genome_file
+        environments = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"score-{threads}.json"
+            code, _, _ = run_cli(["score", str(path), "--seed", "3", *FAST,
+                                  "--threads", threads, "--out", str(out)])
+            assert code == 0
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            assert "seed" not in manifest  # config.seed is the one replay reads
+            assert manifest["config"]["threads"] == int(threads)
+            environments[threads] = manifest["environment"]
+        assert environments["1"]["evaluator_threads"] == 1  # no pool
+        assert environments["2"]["evaluator_threads"] == 2
+        for env in environments.values():
+            # scoring runs BLAS at one thread, with or without a pool
+            if env["blas_threads"] is not None:
+                assert env["blas_threads_in_pool"] == 1
+
+    @pytest.mark.parametrize("threads", [2, None])
+    def test_older_manifest_replays(self, genome_file, tmp_path, threads):
+        # one from when score still took --threads, one from when it did not
+        path, _ = genome_file
         out = tmp_path / "score.json"
         code, _, _ = run_cli(["score", str(path), "--seed", "3", *FAST,
                               "--out", str(out)])
         assert code == 0
-        manifest = json.loads((tmp_path / "score.json.manifest.json").read_text())
-        assert "seed" not in manifest  # config.seed is the one replay reads
-        assert "threads" not in manifest["config"]
-        assert manifest["environment"]["evaluator_threads"] == 1
-        assert manifest["environment"]["blas_threads_in_pool"] is None
+        config = {"command": "score", "genome": str(path), "beta": 1.0,
+                  "batches": 2, "batch_size": 2, "stat_mode": "abs",
+                  "resolution": None, "seed": 3}
+        if threads is not None:
+            config["threads"] = threads
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps({
+            "subcommand": "score", "tool_version": "0.0", "config": config,
+            "input_digests": {str(path): hashlib.sha256(path.read_bytes()).hexdigest()},
+        }))
+        replay = tmp_path / "replay.json"
+        code, _, err = run_cli(["score", "--from-manifest", str(old),
+                                "--out", str(replay)])
+        assert code == 0, err.decode()
+        assert replay.read_bytes() == out.read_bytes()
+
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
+        # 64 channels at k=5 on 8x8 run GEMMs whose bytes depend on the BLAS
+        # thread count under some OpenBLAS kernels, so this also checks
+        # that scoring pins BLAS whatever --threads is
+        stage = {"repeats": 2, "channels": 64, "kernel": 5,
+                 "conv_mode": "regular", "stride": 1}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "family": "resnet_like", "stages": [stage], "stem_channels": 16,
+            "num_classes": 4, "input_resolution": [8, 8], "expansion": 4}))
+        outs = [run_cli(["score", str(path), "--seed", "1", "--threads", t,
+                         "--batches", "2", "--batch-size", "3"])
+                for t in ("1", "2", "8")]
+        assert outs[0][0] == 0
+        assert outs[0][1] == outs[1][1] == outs[2][1]
 
     def test_replay_detects_changed_input(self, genome_file, tmp_path):
         path, genome = genome_file
@@ -134,6 +183,18 @@ BAD_GENOMES = {
     "{repeats_text}": ({"repeats": "x"}, {}),
     "{stride_bool}": ({"stride": True}, {}),
     "{resolution_3d}": ({}, {"input_resolution": [8, 8, 7]}),
+    "{resnet_expansion_2}": ({}, {"expansion": 2}),
+}
+
+# (stage-0 fields, entry fields) overwritten in a one-entry archive of the
+# "{genome}" file to give the named placeholder
+BAD_ARCHIVES = {
+    "{archive_nan_score}": ({}, {"zico_bc": math.nan}),
+    "{archive_text_score}": ({}, {"zico_bc": None, "score": "8.0"}),
+    "{archive_inf_latency}": ({}, {"latency_us": math.inf}),
+    "{archive_text_channels}": ({"channels": "32"}, {}),
+    "{archive_bool_repeats}": ({"repeats": True}, {}),
+    "{archive_zero_repeats}": ({"repeats": 0}, {}),
 }
 
 # (CLI arguments, "{genome}" standing for the genome file and "{records}" for
@@ -157,12 +218,20 @@ BAD_INPUT_CASES = [
      b"conv_modes"),
     ([*SEARCH_FAST, "--conv-modes", "regular,depthwise"], b"conv_modes"),
     ([*SEARCH_FAST, "--threads", "0"], b"--threads"),
+    (["score", "{genome}", "--threads", "0"], b"--threads"),
     (["correlate", "--records", "{records}", "--resolution", "0x0", *FAST],
      b"resolution"),
     (["score", "{repeats_float}", *FAST], b"stages[0].repeats"),
     (["latency", "{repeats_text}"], b"stages[0].repeats"),
     (["score", "{stride_bool}", *FAST], b"stages[0].stride"),
     (["latency", "{resolution_3d}"], b"input_resolution"),
+    (["score", "{resnet_expansion_2}", *FAST], b"expansion"),
+    (["pareto-plotdata", "{archive_nan_score}"], b"entry 0: zico_bc"),
+    (["pareto-plotdata", "{archive_text_score}"], b"entry 0: score"),
+    (["pareto-plotdata", "{archive_inf_latency}"], b"entry 0: latency_us"),
+    (["pareto-plotdata", "{archive_text_channels}"], b"entry 0: stages[0].channels"),
+    (["pareto-plotdata", "{archive_bool_repeats}"], b"entry 0: stages[0].repeats"),
+    (["pareto-plotdata", "{archive_zero_repeats}"], b"entry 0: stages[0].repeats"),
 ]
 
 
@@ -181,6 +250,14 @@ class TestValidation:
             obj.update(fields)
             bad = tmp_path / f"{name.strip('{}')}.json"
             bad.write_text(json.dumps(obj))
+            files[name] = str(bad)
+        for name, (gene_fields, fields) in BAD_ARCHIVES.items():
+            entry = {"genome": genome_to_dict(genome), "zico_bc": 8.0,
+                     "score": 8.0, "latency_us": 123.5}
+            entry["genome"]["stages"][0].update(gene_fields)
+            entry.update(fields)
+            bad = tmp_path / f"{name.strip('{}')}.json"
+            bad.write_text(json.dumps([entry]))
             files[name] = str(bad)
         for args, field in BAD_INPUT_CASES:
             args = [files.get(a, a) for a in args]
@@ -443,9 +520,9 @@ class TestParetoPlotdata:
 
 
 # the shared options each subcommand offers: --seed where it scores,
-# --threads where it runs the evaluator pool
+# --threads where it runs a worker pool
 SHARED_OPTIONS = {
-    "score": {"--seed", "--out", "--from-manifest"},
+    "score": {"--seed", "--threads", "--out", "--from-manifest"},
     "search": {"--seed", "--threads", "--out", "--from-manifest"},
     "correlate": {"--seed", "--threads", "--out", "--from-manifest"},
     "latency": {"--out", "--from-manifest"},

@@ -62,6 +62,7 @@ INVALID_FIELDS = [
     ({"channels": "64"}, {}, "stages[0].channels"),
     ({}, {"input_resolution": (8, 8, 7)}, "input_resolution"),
     ({}, {"expansion": 3}, "expansion"),
+    ({}, {"expansion": 2}, "expansion"),  # legal for effnet_like only
     ({"stride": 2}, {"input_resolution": (7, 7)}, "input_resolution"),
 ]
 

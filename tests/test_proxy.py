@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import blas_threads_set_to, parameter_hash, random_genome
+from zicobc import proxy
 from zicobc.network import (
     Genome,
     LayerGraph,
@@ -319,7 +320,7 @@ class TestScoreGenome:
 
 
 class TestParallelMap:
-    """The pool pins numpy's bundled OpenBLAS to one thread, and only it."""
+    """The pool pins numpy's bundled OpenBLAS to one thread; inline runs do not."""
 
     pytestmark = pytest.mark.skipif(blas_threads() is None,
                                     reason="numpy's BLAS is not the bundled OpenBLAS")
@@ -336,3 +337,25 @@ class TestParallelMap:
             assert parallel_map(lambda _: blas_threads(), items, threads) == \
                 [2] * len(items)
             assert blas_threads() == 2
+
+
+class TestScoreGenomeThreads:
+    pytestmark = pytest.mark.skipif(blas_threads() is None,
+                                    reason="numpy's BLAS is not the bundled OpenBLAS")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_scoring_runs_one_blas_thread_and_count_is_restored(self, threads,
+                                                                monkeypatch):
+        seen = []
+        gather = proxy.gather_gradient_stats
+
+        def spy(*args, **kwargs):
+            seen.append((blas_threads(), kwargs["pool"] is not None))
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(proxy, "gather_gradient_stats", spy)
+        genome = random_genome(np.random.default_rng(94), max_stages=1)
+        with blas_threads_set_to(2):
+            score_genome(genome, ScoreSettings(batches=2, batch_size=2), threads=threads)
+            assert blas_threads() == 2
+        assert seen == [(1, threads > 1)]

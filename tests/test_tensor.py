@@ -15,6 +15,7 @@ from zicobc.tensor import (
     TapeError,
     Tensor,
     TensorError,
+    WorkerPool,
     seeded_fill,
 )
 
@@ -273,6 +274,37 @@ class TestColumnFreeConv:
             grads.append([loss.data.tobytes()] + [tape.grad(t).data.tobytes()
                                                   for t in parameter_tensors(graph)])
         assert grads[0] == grads[1]
+
+
+def _pooled_grads(groups, stride, kernel, batch, pool):
+    """Loss and parameter-gradient bytes of a two-conv net on Tape(pool)."""
+    rng = np.random.default_rng([groups, stride, kernel, batch])
+    x = Tensor(rng.normal(size=(batch, 3, 8, 8)))
+    w1 = Tensor(rng.normal(size=(12, 3, 3, 3)))
+    w2 = Tensor(rng.normal(size=(12, 12 // groups, kernel, kernel)))
+    wd = Tensor(rng.normal(size=(4, 12)))
+    labels = rng.integers(0, 4, size=batch)
+    tape = Tape(pool)
+    h = tape.relu(tape.conv2d(x, w1, padding=1))
+    h = tape.conv2d(h, w2, stride=stride, padding=kernel // 2, groups=groups)
+    logits = tape.dense(tape.global_avg_pool(tape.relu(h)), wd)
+    loss = tape.cross_entropy_loss(logits, labels)
+    tape.backward(loss)
+    return [loss.data.tobytes()] + [tape.grad(w).data.tobytes() for w in (w1, w2, wd)]
+
+
+class TestWorkerPool:
+    """A tape that splits its conv kernels by sample gives the same bytes."""
+
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("groups", [1, 4, 12], ids=["regular", "grouped", "depthwise"])
+    def test_pooled_tape_matches_unpooled(self, groups, stride, kernel):
+        with WorkerPool(2) as two, WorkerPool(8) as eight:
+            for batch in (1, 3, 8):  # 3 splits unevenly; 8 workers can outnumber samples
+                unpooled = _pooled_grads(groups, stride, kernel, batch, None)
+                for pool in (two, eight):
+                    assert _pooled_grads(groups, stride, kernel, batch, pool) == unpooled
 
 
 class TestFiniteDifferenceOracle:
