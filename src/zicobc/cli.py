@@ -43,7 +43,14 @@ from .network import (
     compile_genome,
     genome_from_json,
 )
-from .proxy import STAT_MODES, ProxyError, ScoreSettings, blas_threads, score_genome
+from .proxy import (
+    STAT_MODES,
+    ProxyError,
+    ScoreSettings,
+    blas_core,
+    blas_threads,
+    score_genome,
+)
 from .search import (
     EvaluationFailure,
     GenomeSpace,
@@ -252,7 +259,8 @@ def _environment(threads: int | None) -> dict:
     outside = blas_threads()
     return {
         "numpy": np.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "core": blas_core()},
         "evaluator_threads": threads or 1,
         "blas_threads": outside,
         # score_genome runs BLAS at one thread, with or without a pool, so
@@ -304,7 +312,28 @@ def _load_manifest_args(parser: argparse.ArgumentParser,
     replayed.from_manifest = None
     replayed.out = current.out
     replayed.log = getattr(current, "log", None)
+    _warn_environment_drift(manifest.get("environment"))
     return replayed
+
+
+def _warn_environment_drift(recorded) -> None:
+    """Name on stderr each field the replayed bytes rest on that changed.
+
+    Another numpy, OpenBLAS build or OpenBLAS core can move scores in
+    their last bits. A field the manifest does not record is not compared.
+    """
+    now = _environment(None)
+    for path in (("numpy",), ("blas", "version"), ("blas", "core")):
+        then, here = recorded, now
+        for key in path:
+            if not isinstance(then, dict) or key not in then:
+                break
+            then, here = then[key], here[key]
+        else:
+            if then != here:
+                print(f"warning: manifest records {'.'.join(path)} {json.dumps(then)}, "
+                      f"this run has {json.dumps(here)}; scores may differ in "
+                      f"their last bits", file=sys.stderr)
 
 
 def _emit(text: str, args: argparse.Namespace, input_paths: list[str]) -> None:

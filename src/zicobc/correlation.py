@@ -128,20 +128,23 @@ def load_records(path) -> list[BenchmarkRecord]:
                 raise RecordError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             try:
                 rec_id = str(obj["id"])
-                accuracy = float(obj["test_accuracy"])
+                accuracy = obj["test_accuracy"]
                 genome = genome_from_dict(obj["genome"])
             except (KeyError, TypeError) as exc:
                 raise RecordError(f"{path}:{lineno}: missing field {exc}") from None
             except GenomeError as exc:
                 raise RecordError(f"{path}:{lineno}: {exc}") from None
-            if not 0.0 <= accuracy <= 100.0:
-                raise RecordError(
-                    f"{path}:{lineno}: test_accuracy {accuracy} outside [0, 100]")
+            if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float)):
+                raise RecordError(f"{path}:{lineno}: test_accuracy: must be a "
+                                  f"JSON number, got {json.dumps(accuracy)}")
+            if not 0.0 <= accuracy <= 100.0:  # before float(): a huge int overflows it
+                raise RecordError(f"{path}:{lineno}: test_accuracy: "
+                                  f"{accuracy} outside [0, 100]")
             if rec_id in seen:
                 raise RecordError(f"{path}:{lineno}: duplicate id {rec_id!r}")
             seen.add(rec_id)
             records.append(BenchmarkRecord(id=rec_id, genome=genome,
-                                           test_accuracy=accuracy))
+                                           test_accuracy=float(accuracy)))
     return records
 
 

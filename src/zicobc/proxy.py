@@ -342,9 +342,22 @@ def blas_threads() -> int | None:
     return _openblas()[0]()
 
 
+def blas_core() -> str | None:
+    """The kernel core numpy's bundled OpenBLAS runs, such as SkylakeX.
+
+    OpenBLAS picks it from the CPU at load time, or from
+    OPENBLAS_CORETYPE. None under another BLAS.
+    """
+    corename = getattr(_openblas_library(), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return None
+    corename.restype, corename.argtypes = ctypes.c_char_p, []
+    return corename().decode()
+
+
 @functools.cache
-def _openblas() -> tuple[Callable[[], int | None], Callable[[int], None]]:
-    """Get and set the bundled OpenBLAS thread count; no-ops under another BLAS.
+def _openblas_library() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS; None under another BLAS.
 
     numpy wheels ship OpenBLAS in `numpy.libs` with `scipy_openblas`
     ILP64 symbols; loading it again returns the copy numpy already uses.
@@ -353,11 +366,22 @@ def _openblas() -> tuple[Callable[[], int | None], Callable[[int], None]]:
                        .glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
+            lib.scipy_openblas_get_num_threads64_
+            lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        get.restype, get.argtypes = ctypes.c_int, []
-        set_.restype, set_.argtypes = None, [ctypes.c_int]
-        return get, set_
-    return (lambda: None), (lambda count: None)
+        return lib
+    return None
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int | None], Callable[[int], None]]:
+    """Get and set the bundled OpenBLAS thread count; no-ops under another BLAS."""
+    lib = _openblas_library()
+    if lib is None:
+        return (lambda: None), (lambda count: None)
+    get = lib.scipy_openblas_get_num_threads64_
+    set_ = lib.scipy_openblas_set_num_threads64_
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_

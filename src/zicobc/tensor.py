@@ -38,9 +38,10 @@ class Tensor:
     Activations use (N, C, H, W) layout; conv weights use
     (C_out, C_in / groups, K_h, K_w). The underlying buffer is row-major
     and write-protected, so a tensor can be shared freely across threads.
+    A tensor a tape op produced carries that op's node; a leaf has none.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "node")
 
     def __init__(self, data) -> None:
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -48,6 +49,7 @@ class Tensor:
             raise TensorError(f"non-positive extent in shape {arr.shape}")
         arr.setflags(write=False)
         self.data = arr
+        self.node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -121,6 +123,19 @@ class WorkerPool(ThreadPoolExecutor):
         self.workers = workers
 
 
+class _Node:
+    """The adjoint key of one tensor a tape op produced.
+
+    `owner` is its tape's token, not the tape itself, so a tensor that
+    outlives its tape keeps none of the tape's records alive.
+    """
+
+    __slots__ = ("owner",)
+
+    def __init__(self, owner: object) -> None:
+        self.owner = owner
+
+
 class Tape:
     """Records primitive ops and replays them backward for gradients.
 
@@ -128,13 +143,23 @@ class Tape:
     backward call. Parameters are the tensors passed through the param
     arguments of ops (conv/dense weights and biases); after backward every
     parameter has a gradient slot, zero when the parameter does not reach
-    the loss.
+    the loss. A tensor an op on this tape produced cannot also be one of
+    its parameters.
 
-    A conv keeps its padded input, not its im2col columns: the weight
-    gradient rebuilds the columns, and a depthwise input gradient adds
-    its taps directly, which is faster than a GEMM plus col2im there.
-    Backward consumes the tape, freeing each record once it has been
-    pulled, so a second backward raises TapeError.
+    A record keys its adjoint by its output's node, not by the output
+    tensor, and keeps only what its pulls read: a conv's padded input, a
+    ReLU's mask, a dense layer's input, and the parameters. So an
+    activation is freed as soon as no later op and no caller holds it; a
+    conv output that only a ReLU reads dies during forward. A conv keeps
+    its padded input, not its im2col columns: the weight gradient
+    rebuilds the columns, and a depthwise input gradient adds its taps
+    directly, which is faster than a GEMM plus col2im there.
+
+    Backward runs a pull only when its input is a parameter or the output
+    of an op on this tape: the input gradient of a leaf, such as the data
+    batch the stem conv reads, is never computed. Backward consumes the
+    tape, freeing each record once it has been pulled, so a second
+    backward raises TapeError.
 
     Given a pool, a conv runs each of its three kernels (forward, weight
     gradient, input gradient) per sample on it: each worker takes one
@@ -148,10 +173,12 @@ class Tape:
 
     def __init__(self, pool: WorkerPool | None = None) -> None:
         self._pool = pool
-        # one (output, [(input, adjoint rule), ...]) pair per executed primitive
-        self._records: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] = []
+        self._token = object()  # the owner of this tape's nodes
+        # one (output node, [(input key, adjoint rule), ...]) pair per
+        # executed primitive; an input key is the input's node when this
+        # tape produced it, else the input tensor itself
+        self._records: list[tuple[_Node, list[tuple[_Node | Tensor, Callable]]]] = []
         self._params: dict[int, Tensor] = {}
-        self._outputs: set[int] = set()
         self._grads: dict[int, np.ndarray] = {}
 
     # -- op entry points ---------------------------------------------------
@@ -337,26 +364,28 @@ class Tape:
                             "already ran")
         if loss.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
-        if id(loss) not in self._outputs:
+        if not self._owns(loss):
             raise TapeError("loss was not produced by ops on this tape")
 
-        # Each record is dropped once pulled, freeing its activations and
-        # padded inputs. The id()-keyed adjoints stay sound: every tensor
-        # looked up is held by a record not yet popped, so it has been alive
-        # since before the pass began and no freed tensor shares its id.
-        adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        # Op outputs are keyed by node and parameters by id(): the tape
+        # holds every parameter, so no live parameter shares its id.
+        adjoint: dict[_Node | int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
         while self._records:
-            output, pulls = self._records.pop()
-            go = adjoint.pop(id(output), None)
+            node, pulls = self._records.pop()
+            go = adjoint.pop(node, None)
             if go is None:
                 continue
-            for tensor, pull in pulls:
+            for key, pull in pulls:
+                if isinstance(key, Tensor):
+                    if id(key) not in self._params:
+                        continue  # a leaf: nothing reads its gradient
+                    key = id(key)
                 g = pull(go)
-                slot = adjoint.get(id(tensor))
+                slot = adjoint.get(key)
                 if slot is None:
-                    adjoint[id(tensor)] = g
+                    adjoint[key] = g
                 else:
-                    adjoint[id(tensor)] = slot + g
+                    adjoint[key] = slot + g
 
         self._grads = {}
         for tid, param in self._params.items():
@@ -372,13 +401,21 @@ class Tape:
 
     # -- internals -----------------------------------------------------------
 
+    def _owns(self, tensor: Tensor) -> bool:
+        return tensor.node is not None and tensor.node.owner is self._token
+
     def _record(self, output: Tensor,
                 inputs: list[tuple[Tensor, Callable]],
                 params: list[tuple[Tensor, Callable]]) -> None:
         for tensor, _ in params:
+            if self._owns(tensor):
+                raise TapeError("a tensor produced by an op on this tape "
+                                "cannot be a parameter of it")
             self._params.setdefault(id(tensor), tensor)
-        self._records.append((output, inputs + params))
-        self._outputs.add(id(output))
+        output.node = _Node(self._token)
+        self._records.append((output.node, [
+            (tensor.node if self._owns(tensor) else tensor, pull)
+            for tensor, pull in inputs + params]))
 
 
 def _by_sample(pool: WorkerPool | None, kernel: Callable,

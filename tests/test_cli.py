@@ -13,6 +13,7 @@ from helpers import random_genome
 from zicobc.network import genome_to_dict, genome_to_json
 from zicobc.latency import LatencyTable, save_table
 from zicobc.cli import main
+from zicobc.proxy import blas_core
 
 
 def run_cli(args, env_extra=None):
@@ -118,6 +119,34 @@ class TestScore:
             if env["blas_threads"] is not None:
                 assert env["blas_threads_in_pool"] == 1
 
+    def test_manifest_records_blas_core(self, genome_file, tmp_path):
+        if blas_core() is None:
+            pytest.skip("numpy's bundled OpenBLAS is absent")
+        path, _ = genome_file
+        out = tmp_path / "score.json"
+        code, _, err = run_cli(["score", str(path), *FAST, "--out", str(out)],
+                               env_extra={"OPENBLAS_CORETYPE": "Haswell"})
+        assert code == 0, err.decode()
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["environment"]["blas"]["core"] == "Haswell"
+
+    def test_replay_warns_of_another_core(self, genome_file, tmp_path):
+        path, _ = genome_file
+        out = tmp_path / "score.json"
+        assert run_cli(["score", str(path), *FAST, "--out", str(out)])[0] == 0
+        manifest_path = Path(str(out) + ".manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["environment"]["blas"]["core"] = "Prescott"
+        manifest_path.write_text(json.dumps(manifest))
+        replay = tmp_path / "replay.json"
+        code, _, err = run_cli(["score", "--from-manifest", str(manifest_path),
+                                "--out", str(replay)])
+        assert code == 0, err.decode()
+        assert replay.read_bytes() == out.read_bytes()
+        warnings = [line for line in err.decode().splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1 and "blas.core \"Prescott\"" in warnings[0], warnings
+
     @pytest.mark.parametrize("threads", [2, None])
     def test_older_manifest_replays(self, genome_file, tmp_path, threads):
         # one from when score still took --threads, one from when it did not
@@ -197,6 +226,15 @@ BAD_ARCHIVES = {
     "{archive_zero_repeats}": ({"repeats": 0}, {}),
 }
 
+# test_accuracy of the second line of a records file of the "{genome}" file
+# to give the named placeholder
+BAD_RECORDS = {
+    "{accuracy_bool}": True,
+    "{accuracy_text_number}": "85",
+    "{accuracy_text}": "abc",
+    "{accuracy_list}": [1],
+}
+
 # (CLI arguments, "{genome}" standing for the genome file and "{records}" for
 # a records file of it; field the error names)
 BAD_INPUT_CASES = [
@@ -232,6 +270,8 @@ BAD_INPUT_CASES = [
     (["pareto-plotdata", "{archive_text_channels}"], b"entry 0: stages[0].channels"),
     (["pareto-plotdata", "{archive_bool_repeats}"], b"entry 0: stages[0].repeats"),
     (["pareto-plotdata", "{archive_zero_repeats}"], b"entry 0: stages[0].repeats"),
+    *((["correlate", "--records", name, *FAST], b":2: test_accuracy: ")
+      for name in BAD_RECORDS),
 ]
 
 
@@ -258,6 +298,12 @@ class TestValidation:
             entry.update(fields)
             bad = tmp_path / f"{name.strip('{}')}.json"
             bad.write_text(json.dumps([entry]))
+            files[name] = str(bad)
+        for name, accuracy in BAD_RECORDS.items():
+            lines = records.read_text().splitlines(keepends=True)
+            bad = tmp_path / f"{name.strip('{}')}.jsonl"
+            bad.write_text(lines[0] + json.dumps({**json.loads(lines[1]),
+                                                  "test_accuracy": accuracy}) + "\n")
             files[name] = str(bad)
         for args, field in BAD_INPUT_CASES:
             args = [files.get(a, a) for a in args]
@@ -325,7 +371,7 @@ class TestSearch:
         env = manifest["environment"]
         assert env["numpy"] == np.__version__
         assert env["evaluator_threads"] == 2
-        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["blas"]) == {"name", "version", "core"}
         if env["blas_threads"] is not None:
             assert env["blas_threads"] >= 1
             assert env["blas_threads_in_pool"] == 1

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import zicobc.tensor as tensor_module
 from helpers import ColumnKeepingTape, parameter_tensors, tensor_digest
 from zicobc.network import Genome, StageGene, compile_genome, init_weights
 from zicobc.proxy import make_batches
@@ -187,6 +188,29 @@ class TestBackward:
         with pytest.raises(TapeError, match="not produced"):
             tape.backward(Tensor([1.0]))
 
+    def test_other_tapes_loss(self):
+        other = Tape()
+        loss = other.relu(Tensor([1.0]))
+        tape = Tape()
+        tape.relu(Tensor([1.0]))
+        with pytest.raises(TapeError, match="not produced"):
+            tape.backward(loss)
+
+    def test_op_output_cannot_be_a_parameter(self):
+        tape = Tape()
+        y = tape.dense(Tensor([[2.0]]), Tensor([[0.37]]))
+        with pytest.raises(TapeError, match="cannot be a parameter"):
+            tape.dense(Tensor([[1.0]]), y)
+
+    def test_leaf_also_a_parameter_gets_every_use(self):
+        tape = Tape()
+        a = Tensor([[2.0]])
+        b = Tensor([[3.0]])
+        y = tape.dense(a, b)   # a read as an input first: y = a * b
+        z = tape.dense(y, a)   # then as a parameter: z = a^2 * b
+        tape.backward(z)
+        assert tape.grad(a).item() == 12.0  # 2ab: both uses reach a
+
     def test_second_backward_raises(self):
         tape = Tape()
         w = Tensor([[0.37]])
@@ -215,23 +239,47 @@ class TestTapeMemory:
         assert kept < columns_bytes, f"forward kept {kept} bytes"
 
     def test_backward_frees_intermediate_activations(self):
+        # a record keys its adjoint by node, so the conv output that only a
+        # ReLU reads, and the ReLU output a padded conv reads, die in forward
         rng = np.random.default_rng(22)
         x = Tensor(rng.normal(size=(2, 2, 5, 5)))
         w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        w2 = Tensor(rng.normal(size=(3, 1, 3, 3)))
         wd = Tensor(rng.normal(size=(4, 3)))
         tape = Tape()
 
         def forward():
             h = tape.conv2d(x, w, padding=1)
-            hidden = weakref.ref(h.data)
-            h = tape.global_avg_pool(tape.relu(h))
+            r = tape.relu(h)
+            hidden = [weakref.ref(h.data), weakref.ref(r.data)]
+            h = tape.conv2d(r, w2, padding=1, groups=3)
+            h = tape.global_avg_pool(h)
             return hidden, tape.cross_entropy_loss(tape.dense(h, wd), [0, 3])
 
         hidden, loss = forward()
-        assert hidden() is not None
+        assert [ref() for ref in hidden] == [None, None]
         tape.backward(loss)
-        assert hidden() is None
+        assert [ref() for ref in hidden] == [None, None]
         assert tape.grad(w).shape == w.shape
+
+    def test_leaf_input_gradient_is_never_computed(self, monkeypatch):
+        calls = []
+        by_sample = tensor_module._by_sample
+
+        def counting(pool, kernel, shape):
+            calls.append(shape)
+            return by_sample(pool, kernel, shape)
+
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(2, 2, 5, 5)))
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        wd = Tensor(rng.normal(size=(4, 3)))
+        tape = Tape()
+        h = tape.global_avg_pool(tape.conv2d(x, w, padding=1))
+        loss = tape.cross_entropy_loss(tape.dense(h, wd), [0, 3])
+        monkeypatch.setattr(tensor_module, "_by_sample", counting)
+        tape.backward(loss)
+        assert calls == [(2, 1, 3, 18)]  # the weight gradient's products only
 
 
 def _genome(family, conv_mode, stride, kernel, rng):
