@@ -126,14 +126,19 @@ def load_records(path) -> list[BenchmarkRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise RecordError(f"{path}:{lineno}: record must be a JSON object")
             try:
-                rec_id = str(obj["id"])
+                rec_id = obj["id"]
                 accuracy = obj["test_accuracy"]
                 genome = genome_from_dict(obj["genome"])
             except (KeyError, TypeError) as exc:
                 raise RecordError(f"{path}:{lineno}: missing field {exc}") from None
             except GenomeError as exc:
                 raise RecordError(f"{path}:{lineno}: {exc}") from None
+            if not isinstance(rec_id, str):
+                raise RecordError(f"{path}:{lineno}: id: must be a JSON string, "
+                                  f"got {json.dumps(rec_id)}")
             if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float)):
                 raise RecordError(f"{path}:{lineno}: test_accuracy: must be a "
                                   f"JSON number, got {json.dumps(accuracy)}")

@@ -151,9 +151,13 @@ class Tape:
     ReLU's mask, a dense layer's input, and the parameters. So an
     activation is freed as soon as no later op and no caller holds it; a
     conv output that only a ReLU reads dies during forward. A conv keeps
-    its padded input, not its im2col columns: the weight gradient
-    rebuilds the columns, and a depthwise input gradient adds its taps
-    directly, which is faster than a GEMM plus col2im there.
+    its padded input, not its im2col columns. A stride-1 conv with
+    padding < k gets both gradients from one gather of its zero-padded
+    output gradient (`_gathered_pulls`): no col2im, and no second gather
+    of the input. Any other conv (stride 2, or padding >= k) rebuilds the
+    input's columns for the weight gradient, and its input gradient is a
+    GEMM plus col2im, or for a depthwise conv its taps added directly,
+    which is faster there.
 
     Backward runs a pull only when its input is a parameter or the output
     of an op on this tape: the input gradient of a leaf, such as the data
@@ -161,14 +165,14 @@ class Tape:
     tape, freeing each record once it has been pulled, so a second
     backward raises TapeError.
 
-    Given a pool, a conv runs each of its three kernels (forward, weight
-    gradient, input gradient) per sample on it: each worker takes one
-    contiguous run of samples, one sample at a time, and writes disjoint
-    slices of one preallocated result. Every other op, and every Tape
-    method, runs whole-batch on the calling thread. Without a pool each
-    kernel is one numpy call over the whole batch. Per-sample products
-    are the same GEMMs and sums as whole-batch ones, so both give the same
-    bytes.
+    Given a pool, a conv runs each of its kernels (forward, and either
+    both gradients at once or the weight and the input gradient) per
+    sample on it: each worker takes one contiguous run of samples, one
+    sample at a time, and writes disjoint slices of one preallocated
+    result. Every other op, and every Tape method, runs whole-batch on the
+    calling thread. Without a pool each kernel is one numpy call over the
+    whole batch. Per-sample products are the same GEMMs and sums as
+    whole-batch ones, so both give the same bytes.
     """
 
     def __init__(self, pool: WorkerPool | None = None) -> None:
@@ -208,9 +212,7 @@ class Tape:
                 f"gives non-positive output extent")
 
         pool = self._pool  # the closures below must not hold the tape
-        xp = x.data
-        if padding:
-            xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = _pad(x.data, padding, padding)
         L = h_out * w_out
         ckk = c_in_g * kh * kw
         c_out_g = c_out // groups
@@ -226,6 +228,12 @@ class Tape:
             pool, lambda lo, hi, out: np.matmul(w_g[None], columns(lo, hi), out=out),
             (n, groups, c_out_g, L))
         result = Tensor(out.reshape(n, c_out, h_out, w_out))
+
+        if stride == 1 and padding < min(kh, kw):  # every compiled stride-1 conv
+            pull_x, pull_weight = _gathered_pulls(
+                pool, xp, weight.data, groups, padding, (h, w))
+            self._record(result, [(x, pull_x)], [(weight, pull_weight)])
+            return result
 
         def pull_weight(go: np.ndarray) -> np.ndarray:
             go_g = go.reshape(n, groups, c_out_g, L)
@@ -440,6 +448,76 @@ def _by_sample(pool: WorkerPool | None, kernel: Callable,
     runs = min(pool.workers, n)
     bounds = [n * r // runs for r in range(runs + 1)]
     list(pool.map(run, bounds[:-1], bounds[1:]))
+    return out
+
+
+def _gathered_pulls(pool: WorkerPool | None, xp: np.ndarray, weight: np.ndarray,
+                    groups: int, padding: int,
+                    extent: tuple[int, int]) -> tuple[Callable, Callable]:
+    """The input and weight pulls of a stride-1 conv with padding < k.
+
+    Both gradients come from one gather: G, the im2col columns of the
+    output gradient padded by k - 1 - padding, one column per pixel of
+    the unpadded (h, w) input. The flipped kernel, transposed per group,
+    times G is the input gradient; G times the input's interior is the
+    weight gradient with its taps flipped. The input pull computes both
+    per sample and leaves the weight products for the weight pull, which
+    backward runs next; when the input pull is skipped (a leaf input) the
+    weight pull gathers G itself.
+    """
+    n, c_in = xp.shape[:2]
+    c_out, c_in_g, kh, kw = weight.shape
+    h, w = extent
+    c_out_g = c_out // groups
+    rows = c_out_g * kh * kw
+    products = None  # (n, groups, rows, c_in_g), left by pull_x for pull_weight
+
+    def grad_columns(go: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        gop = _pad(go[lo:hi], kh - 1 - padding, kw - 1 - padding)
+        return _im2col(gop, kh, kw, 1, h, w).reshape(hi - lo, groups, rows, h * w)
+
+    def weight_products(cols: np.ndarray, lo: int, hi: int,
+                        out: np.ndarray | None) -> np.ndarray:
+        # reshaping the strided interior copies it contiguous
+        interior = xp[lo:hi, :, padding:padding + h, padding:padding + w].reshape(
+            hi - lo, groups, c_in_g, h * w)
+        return np.matmul(cols, interior.transpose(0, 1, 3, 2), out=out)
+
+    def pull_x(go: np.ndarray) -> np.ndarray:
+        nonlocal products
+        products = np.empty((n, groups, rows, c_in_g))
+        w_t = weight.reshape(groups, c_out_g, c_in_g, kh, kw)[..., ::-1, ::-1].transpose(
+            0, 2, 1, 3, 4).reshape(groups, c_in_g, rows)
+
+        def both(lo: int, hi: int, gx: np.ndarray | None) -> np.ndarray:
+            cols = grad_columns(go, lo, hi)
+            weight_products(cols, lo, hi, products[lo:hi])
+            if gx is not None:
+                gx = gx.reshape(hi - lo, groups, c_in_g, h * w)
+            return np.matmul(w_t[None], cols, out=gx).reshape(hi - lo, c_in, h, w)
+
+        return _by_sample(pool, both, (n, c_in, h, w))
+
+    def pull_weight(go: np.ndarray) -> np.ndarray:
+        summands = products if products is not None else _by_sample(
+            pool, lambda lo, hi, out: weight_products(grad_columns(go, lo, hi), lo, hi, out),
+            (n, groups, rows, c_in_g))
+        flipped = summands.sum(axis=0).reshape(groups, c_out_g, kh, kw, c_in_g)
+        return flipped.transpose(0, 1, 4, 2, 3)[..., ::-1, ::-1].reshape(weight.shape)
+
+    return pull_x, pull_weight
+
+
+def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """`a` (n, c, h, w) zero-padded by ph rows and pw columns on each side.
+
+    The bytes of np.pad's constant mode, without its per-call overhead.
+    """
+    if not (ph or pw):
+        return a
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+    out[:, :, ph:ph + h, pw:pw + w] = a
     return out
 
 

@@ -226,13 +226,19 @@ BAD_ARCHIVES = {
     "{archive_zero_repeats}": ({"repeats": 0}, {}),
 }
 
-# test_accuracy of the second line of a records file of the "{genome}" file
-# to give the named placeholder
+# the second line of a records file of the "{genome}" file to give the named
+# placeholder (the valid record updated by a dict, else the value itself),
+# and what the error names
 BAD_RECORDS = {
-    "{accuracy_bool}": True,
-    "{accuracy_text_number}": "85",
-    "{accuracy_text}": "abc",
-    "{accuracy_list}": [1],
+    "{accuracy_bool}": ({"test_accuracy": True}, b":2: test_accuracy: "),
+    "{accuracy_text_number}": ({"test_accuracy": "85"}, b":2: test_accuracy: "),
+    "{accuracy_text}": ({"test_accuracy": "abc"}, b":2: test_accuracy: "),
+    "{accuracy_list}": ({"test_accuracy": [1]}, b":2: test_accuracy: "),
+    "{record_list}": ([1], b":2: record must be a JSON object"),
+    "{record_text}": ("r1", b":2: record must be a JSON object"),
+    "{id_null}": ({"id": None}, b":2: id: must be a JSON string, got null"),
+    "{id_number}": ({"id": 7}, b":2: id: must be a JSON string, got 7"),
+    "{id_object}": ({"id": {"k": 1}}, b":2: id: must be a JSON string, got {"),
 }
 
 # (CLI arguments, "{genome}" standing for the genome file and "{records}" for
@@ -270,8 +276,8 @@ BAD_INPUT_CASES = [
     (["pareto-plotdata", "{archive_text_channels}"], b"entry 0: stages[0].channels"),
     (["pareto-plotdata", "{archive_bool_repeats}"], b"entry 0: stages[0].repeats"),
     (["pareto-plotdata", "{archive_zero_repeats}"], b"entry 0: stages[0].repeats"),
-    *((["correlate", "--records", name, *FAST], b":2: test_accuracy: ")
-      for name in BAD_RECORDS),
+    *((["correlate", "--records", name, *FAST], field)
+      for name, (_, field) in BAD_RECORDS.items()),
 ]
 
 
@@ -299,11 +305,12 @@ class TestValidation:
             bad = tmp_path / f"{name.strip('{}')}.json"
             bad.write_text(json.dumps([entry]))
             files[name] = str(bad)
-        for name, accuracy in BAD_RECORDS.items():
-            lines = records.read_text().splitlines(keepends=True)
+        for name, (value, _) in BAD_RECORDS.items():
+            first, second = records.read_text().splitlines(keepends=True)[:2]
+            if isinstance(value, dict):
+                value = {**json.loads(second), **value}
             bad = tmp_path / f"{name.strip('{}')}.jsonl"
-            bad.write_text(lines[0] + json.dumps({**json.loads(lines[1]),
-                                                  "test_accuracy": accuracy}) + "\n")
+            bad.write_text(first + json.dumps(value) + "\n")
             files[name] = str(bad)
         for args, field in BAD_INPUT_CASES:
             args = [files.get(a, a) for a in args]

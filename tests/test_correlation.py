@@ -241,3 +241,16 @@ class TestRecordIO:
                                      make_records(1, seed=6)[0][0].genome)}) + "\n")
         with pytest.raises(RecordError, match="outside"):
             load_records(p)
+
+    def test_id_must_be_a_json_string(self, tmp_path):
+        # 7 and "7" would both read as the id "7"; a number is rejected
+        genome = genome_to_dict(make_records(1, seed=7)[0][0].genome)
+        p = tmp_path / "bench.jsonl"
+        p.write_text("".join(json.dumps({"id": rec_id, "test_accuracy": 50.0,
+                                         "genome": genome}) + "\n"
+                             for rec_id in ("7", 7)))
+        with pytest.raises(RecordError, match=":2: id: must be a JSON string, got 7$"):
+            load_records(p)
+        p.write_text('"7"\n')
+        with pytest.raises(RecordError, match=":1: record must be a JSON object"):
+            load_records(p)

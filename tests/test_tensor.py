@@ -279,7 +279,8 @@ class TestTapeMemory:
         loss = tape.cross_entropy_loss(tape.dense(h, wd), [0, 3])
         monkeypatch.setattr(tensor_module, "_by_sample", counting)
         tape.backward(loss)
-        assert calls == [(2, 1, 3, 18)]  # the weight gradient's products only
+        # the weight gradient's products only: (n, groups, c_out * k * k, c_in)
+        assert calls == [(2, 1, 27, 2)]
 
 
 def _genome(family, conv_mode, stride, kernel, rng):
@@ -301,7 +302,12 @@ def _genome(family, conv_mode, stride, kernel, rng):
 
 
 class TestColumnFreeConv:
-    """`Tape` gives the bytes of a tape that keeps its im2col columns."""
+    """`Tape` matches a tape that keeps its im2col columns.
+
+    Stride-1 gradients come from one gather of the output gradient, a
+    different summation order, so they agree to 1e-12 relative; stride-2
+    convs run the same arithmetic and give the same bytes.
+    """
 
     @pytest.mark.parametrize("kernel", [3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -319,8 +325,29 @@ class TestColumnFreeConv:
         for tape in (ColumnKeepingTape(), Tape()):
             loss = tape.cross_entropy_loss(graph.forward(tape, x), labels)
             tape.backward(loss)
+            grads.append([loss.data] + [tape.grad(t).data for t in parameter_tensors(graph)])
+        assert grads[0][0].tobytes() == grads[1][0].tobytes()  # forward is unchanged
+        for kept, gathered in zip(*grads):
+            assert np.abs(gathered - kept).max() <= 1e-12 * np.abs(kept).max()
+
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize("groups", [1, 4, 12], ids=["regular", "grouped", "depthwise"])
+    def test_stride_two_conv_gives_column_keeping_bytes(self, groups, kernel):
+        rng = np.random.default_rng([groups, kernel])
+        x = Tensor(rng.normal(size=(3, 12, 9, 9)))
+        w1 = Tensor(rng.normal(size=(12, 12, 1, 1)))
+        w2 = Tensor(rng.normal(size=(12, 12 // groups, kernel, kernel)))
+        wd = Tensor(rng.normal(size=(4, 12)))
+        grads = []
+        for tape in (ColumnKeepingTape(), Tape()):
+            # the 1x1 conv's weight gradient reads the strided conv's input gradient
+            h = tape.relu(tape.conv2d(x, w1))
+            h = tape.conv2d(h, w2, stride=2, padding=kernel // 2, groups=groups)
+            loss = tape.cross_entropy_loss(
+                tape.dense(tape.global_avg_pool(tape.relu(h)), wd), [0, 1, 3])
+            tape.backward(loss)
             grads.append([loss.data.tobytes()] + [tape.grad(t).data.tobytes()
-                                                  for t in parameter_tensors(graph)])
+                                                  for t in (w1, w2, wd)])
         assert grads[0] == grads[1]
 
 
@@ -380,6 +407,29 @@ class TestFiniteDifferenceOracle:
             tape.backward(loss)
             fd = finite_diff_grad(lambda t: run(t)[1].item(), w)
             assert_close_to_fd(tape.grad(w).data, fd)
+
+        # k=5 at stride 1, then padding > k - 1, which takes the column
+        # path; a 1x1 conv in front makes the input gradient reach w0
+        for k, p, groups, c_in in [(5, 2, 1, 2), (5, 2, 2, 4), (5, 2, 3, 3),
+                                   (1, 1, 1, 2), (1, 1, 3, 3), (3, 3, 2, 4)]:
+            x = Tensor(rng.normal(size=(1, c_in, 4, 4)))
+            w0 = Tensor(rng.normal(size=(c_in, c_in, 1, 1)))
+            w = Tensor(rng.normal(size=(c_in, c_in // groups, k, k)))
+            ho = 4 + 2 * p - k + 1
+            probe = rng.normal(size=(1, c_in, ho, ho))
+
+            def run(first, weight):
+                tape = Tape()
+                h = tape.conv2d(x, first)
+                out = tape.conv2d(h, weight, padding=p, groups=groups)
+                return tape, probe_to_scalar(tape, out, probe)
+
+            tape, loss = run(w0, w)
+            tape.backward(loss)
+            assert_close_to_fd(tape.grad(w0).data,
+                               finite_diff_grad(lambda t: run(t, w)[1].item(), w0))
+            assert_close_to_fd(tape.grad(w).data,
+                               finite_diff_grad(lambda t: run(w0, t)[1].item(), w))
 
     def test_dense(self):
         rng = np.random.default_rng(12)
