@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -250,21 +250,37 @@ def genome_to_json(genome: Genome) -> str:
     return json.dumps(genome_to_dict(genome), sort_keys=True, separators=(",", ":"))
 
 
-def genome_from_dict(data: dict) -> Genome:
-    try:
-        return Genome(
-            family=str(data["family"]),
-            stages=tuple(StageGene(repeats=s["repeats"], channels=s["channels"],
-                                   kernel=s["kernel"], conv_mode=str(s["conv_mode"]),
-                                   stride=s["stride"])
-                         for s in data["stages"]),
-            stem_channels=data["stem_channels"],
-            num_classes=data["num_classes"],
-            input_resolution=tuple(data["input_resolution"]),
-            expansion=data.get("expansion", 4),
-        )
-    except (KeyError, TypeError) as exc:
-        raise GenomeError(f"malformed genome object: missing or bad field {exc}") from None
+def _json_object(value, path: str, schema: type) -> dict:
+    """`value`, checked to be a JSON object with a key for every field of the
+    dataclass `schema` that has no default, and no other key; `path` names
+    it in errors."""
+    if not isinstance(value, dict):
+        raise GenomeError(f"{path or 'genome'}: must be a JSON object, "
+                          f"got {json.dumps(value)}")
+    prefix = f"{path}." if path else ""
+    known = {f.name: f.default is MISSING for f in fields(schema)}
+    for key in value:
+        if key not in known:
+            raise GenomeError(f"{prefix}{key}: unknown field")
+    for key, required in known.items():
+        if required and key not in value:
+            raise GenomeError(f"{prefix}{key}: missing field")
+    return value
+
+
+def _json_array(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise GenomeError(f"{path}: must be a JSON array, got {json.dumps(value)}")
+    return value
+
+
+def genome_from_dict(data) -> Genome:
+    """The genome a parsed JSON object describes; `expansion` may be left out."""
+    _json_object(data, "", Genome)
+    stages = tuple(StageGene(**_json_object(s, f"stages[{i}]", StageGene))
+                   for i, s in enumerate(_json_array(data["stages"], "stages")))
+    resolution = tuple(_json_array(data["input_resolution"], "input_resolution"))
+    return Genome(**{**data, "stages": stages, "input_resolution": resolution})
 
 
 def genome_from_json(text: str) -> Genome:
@@ -272,8 +288,6 @@ def genome_from_json(text: str) -> Genome:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GenomeError(f"invalid genome JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise GenomeError("genome JSON must be an object")
     return genome_from_dict(data)
 
 

@@ -146,42 +146,47 @@ class Tape:
     the loss. A tensor an op on this tape produced cannot also be one of
     its parameters.
 
-    A record keys its adjoint by its output's node, not by the output
-    tensor, and keeps only what its pulls read: a conv's padded input, a
-    ReLU's mask, a dense layer's input, and the parameters. So an
-    activation is freed as soon as no later op and no caller holds it; a
-    conv output that only a ReLU reads dies during forward. A conv keeps
-    its padded input, not its im2col columns. A stride-1 conv with
-    padding < k gets both gradients from one gather of its zero-padded
-    output gradient (`_gathered_pulls`): no col2im, and no second gather
-    of the input. Any other conv (stride 2, or padding >= k) rebuilds the
-    input's columns for the weight gradient, and its input gradient is a
-    GEMM plus col2im, or for a depthwise conv its taps added directly,
-    which is faster there.
+    Each op leaves one record: its output's node, the keys of its inputs
+    and parameters (parameters last), and one adjoint rule. The rule maps
+    the output gradient and a list saying which of those gradients are
+    wanted to one gradient per key. A record keys its adjoint by its
+    output's node, not by the output tensor, and keeps only what its rule
+    reads: a conv's padded input, a ReLU's mask, a dense layer's input,
+    and the parameters. So an activation is freed as soon as no later op
+    and no caller holds it; a conv output that only a ReLU reads dies
+    during forward. A conv keeps its padded input, not its im2col columns.
 
-    Backward runs a pull only when its input is a parameter or the output
-    of an op on this tape: the input gradient of a leaf, such as the data
-    batch the stem conv reads, is never computed. Backward consumes the
-    tape, freeing each record once it has been pulled, so a second
-    backward raises TapeError.
+    A conv's rule is one per-sample kernel that gives the weight products
+    and, when wanted, the input gradient. At stride 1 with padding < k
+    both come from one gather of the zero-padded output gradient
+    (`_gathered_rule`): no col2im, and no second gather of the input. Any
+    other conv (stride 2, or padding >= k) rebuilds the input's columns
+    for the weight products, and its input gradient is a GEMM plus
+    col2im, or for a depthwise conv its taps added directly, which is
+    faster there.
 
-    Given a pool, a conv runs each of its kernels (forward, and either
-    both gradients at once or the weight and the input gradient) per
-    sample on it: each worker takes one contiguous run of samples, one
-    sample at a time, and writes disjoint slices of one preallocated
-    result. Every other op, and every Tape method, runs whole-batch on the
-    calling thread. Without a pool each kernel is one numpy call over the
-    whole batch. Per-sample products are the same GEMMs and sums as
-    whole-batch ones, so both give the same bytes.
+    Backward wants a gradient only for a parameter or the output of an op
+    on this tape, and skips a record that wants none: the input gradient
+    of a leaf, such as the data batch the stem conv reads, is never
+    computed. Backward consumes the tape, freeing each record once its
+    rule has run, so a second backward raises TapeError.
+
+    Given a pool, a conv runs each of its two kernels (forward, then the
+    gradients) per sample on it: each worker takes one contiguous run of
+    samples, one sample at a time, and writes disjoint slices of
+    preallocated results. Every other op, and every Tape method, runs
+    whole-batch on the calling thread. Without a pool each kernel is one
+    numpy call over the whole batch. Per-sample products are the same
+    GEMMs and sums as whole-batch ones, so both give the same bytes.
     """
 
     def __init__(self, pool: WorkerPool | None = None) -> None:
         self._pool = pool
         self._token = object()  # the owner of this tape's nodes
-        # one (output node, [(input key, adjoint rule), ...]) pair per
-        # executed primitive; an input key is the input's node when this
-        # tape produced it, else the input tensor itself
-        self._records: list[tuple[_Node, list[tuple[_Node | Tensor, Callable]]]] = []
+        # one (output node, input keys, adjoint rule) per executed
+        # primitive; a key is the input's node when this tape produced it,
+        # else the input tensor itself
+        self._records: list[tuple[_Node, list[_Node | Tensor], Callable]] = []
         self._params: dict[int, Tensor] = {}
         self._grads: dict[int, np.ndarray] = {}
 
@@ -224,64 +229,54 @@ class Tape:
                 hi - lo, groups, ckk, L)
 
         w_g = weight.data.reshape(groups, c_out_g, ckk)
-        out = _by_sample(
-            pool, lambda lo, hi, out: np.matmul(w_g[None], columns(lo, hi), out=out),
+        out, = _by_sample(
+            pool, lambda lo, hi, out: [np.matmul(w_g[None], columns(lo, hi), out=out)],
             (n, groups, c_out_g, L))
         result = Tensor(out.reshape(n, c_out, h_out, w_out))
 
         if stride == 1 and padding < min(kh, kw):  # every compiled stride-1 conv
-            pull_x, pull_weight = _gathered_pulls(
-                pool, xp, weight.data, groups, padding, (h, w))
-            self._record(result, [(x, pull_x)], [(weight, pull_weight)])
+            self._record(result, [x], [weight],
+                         _gathered_rule(pool, xp, weight.data, groups, padding, (h, w)))
             return result
 
-        def pull_weight(go: np.ndarray) -> np.ndarray:
-            go_g = go.reshape(n, groups, c_out_g, L)
-            products = _by_sample(
-                pool, lambda lo, hi, out: np.matmul(
-                    go_g[lo:hi], columns(lo, hi).transpose(0, 1, 3, 2), out=out),
-                (n, groups, c_out_g, ckk))
-            return products.sum(axis=0).reshape(weight.shape)
-
-        def pull_x(go: np.ndarray) -> np.ndarray:
-            def input_grad(lo: int, hi: int, gxp: np.ndarray | None) -> np.ndarray:
+        def rule(go: np.ndarray, wanted: list[bool]) -> list[np.ndarray | None]:
+            def kernel(lo: int, hi: int, products: np.ndarray | None,
+                       gxp: np.ndarray | None = None) -> list[np.ndarray]:
+                go_g = go[lo:hi].reshape(hi - lo, groups, c_out_g, L)
+                products = np.matmul(go_g, columns(lo, hi).transpose(0, 1, 3, 2),
+                                     out=products)
+                if not wanted[0]:
+                    return [products]
                 if gxp is None:
                     gxp = np.zeros(xp.shape)
-                go_s = go[lo:hi]
                 if groups == c_in == c_out:
                     # depthwise: the GEMM's inner dimension is 1, so each
                     # column entry is one exact product; adding the taps in
-                    # col2im's (i, j) order gives the same bytes in less
-                    # time, which pays for pull_weight rebuilding the columns
+                    # col2im's (i, j) order gives the same bytes in less time
                     taps = weight.data[:, 0]
                     for i in range(kh):
                         for j in range(kw):
                             gxp[:, :, i:i + stride * h_out:stride,
                                 j:j + stride * w_out:stride] += \
-                                taps[:, i, j, None, None] * go_s
+                                taps[:, i, j, None, None] * go[lo:hi]
                 else:
-                    gcols = np.matmul(w_g.transpose(0, 2, 1)[None],
-                                      go_s.reshape(hi - lo, groups, c_out_g, L))
+                    gcols = np.matmul(w_g.transpose(0, 2, 1)[None], go_g)
                     _col2im(gcols.reshape(hi - lo, c_in * kh * kw, L), gxp,
                             kh, kw, stride, h_out, w_out)
-                return gxp
+                return [products, gxp]
 
-            gxp = _by_sample(pool, input_grad, xp.shape)
-            if padding:
-                gxp = gxp[:, :, padding:padding + h, padding:padding + w]
-            return gxp
+            products, *gxp = _by_sample(pool, kernel, (n, groups, c_out_g, ckk),
+                                        *[xp.shape] * wanted[0])
+            gx = gxp[0][:, :, padding:padding + h, padding:padding + w] if gxp else None
+            return [gx, products.sum(axis=0).reshape(weight.shape)]
 
-        self._record(result, [(x, pull_x)], [(weight, pull_weight)])
+        self._record(result, [x], [weight], rule)
         return result
 
     def relu(self, x: Tensor) -> Tensor:
         out = Tensor(np.maximum(x.data, 0.0))
         mask = x.data > 0.0
-
-        def pull(go: np.ndarray) -> np.ndarray:
-            return go * mask
-
-        self._record(out, [(x, pull)], [])
+        self._record(out, [x], [], lambda go, wanted: [go * mask])
         return out
 
     def global_avg_pool(self, x: Tensor) -> Tensor:
@@ -290,10 +285,10 @@ class Tape:
         n, c, h, w = x.shape
         out = Tensor(x.data.mean(axis=(2, 3)))
 
-        def pull(go: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(go[:, :, None, None] / (h * w), (n, c, h, w)).copy()
+        def rule(go: np.ndarray, wanted: list[bool]) -> list[np.ndarray]:
+            return [np.broadcast_to(go[:, :, None, None] / (h * w), (n, c, h, w)).copy()]
 
-        self._record(out, [(x, pull)], [])
+        self._record(out, [x], [], rule)
         return out
 
     def dense(self, x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -313,16 +308,11 @@ class Tape:
             out_data = out_data + bias.data
         out = Tensor(out_data)
 
-        def pull_x(go: np.ndarray) -> np.ndarray:
-            return go @ weight.data
+        def rule(go: np.ndarray, wanted: list[bool]) -> list[np.ndarray | None]:
+            grads = [go @ weight.data if wanted[0] else None, go.T @ x.data]
+            return grads if bias is None else grads + [go.sum(axis=0)]
 
-        def pull_w(go: np.ndarray) -> np.ndarray:
-            return go.T @ x.data
-
-        params = [(weight, pull_w)]
-        if bias is not None:
-            params.append((bias, lambda go: go.sum(axis=0)))
-        self._record(out, [(x, pull_x)], params)
+        self._record(out, [x], [weight] if bias is None else [weight, bias], rule)
         return out
 
     def residual_add(self, a: Tensor, b: Tensor) -> Tensor:
@@ -330,8 +320,7 @@ class Tape:
             raise ShapeMismatchError(
                 f"residual_add: operand shapes {a.shape} and {b.shape} differ")
         out = Tensor(a.data + b.data)
-        identity = lambda go: go
-        self._record(out, [(a, identity), (b, identity)], [])
+        self._record(out, [a, b], [], lambda go, wanted: [go, go])
         return out
 
     def cross_entropy_loss(self, logits: Tensor, labels) -> Tensor:
@@ -354,13 +343,13 @@ class Tape:
         picked = z[np.arange(n), lab]
         loss = Tensor(np.mean(lse - picked))
 
-        def pull(go: np.ndarray) -> np.ndarray:
+        def rule(go: np.ndarray, wanted: list[bool]) -> list[np.ndarray]:
             softmax = np.exp(shifted)
             softmax /= softmax.sum(axis=1, keepdims=True)
             softmax[np.arange(n), lab] -= 1.0
-            return softmax * (float(go.reshape(-1)[0]) / n)
+            return [softmax * (float(go.reshape(-1)[0]) / n)]
 
-        self._record(loss, [(logits, pull)], [])
+        self._record(loss, [logits], [], rule)
         return loss
 
     # -- reverse pass -------------------------------------------------------
@@ -379,21 +368,20 @@ class Tape:
         # holds every parameter, so no live parameter shares its id.
         adjoint: dict[_Node | int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
         while self._records:
-            node, pulls = self._records.pop()
+            node, keys, rule = self._records.pop()
             go = adjoint.pop(node, None)
             if go is None:
                 continue
-            for key, pull in pulls:
-                if isinstance(key, Tensor):
-                    if id(key) not in self._params:
-                        continue  # a leaf: nothing reads its gradient
-                    key = id(key)
-                g = pull(go)
-                slot = adjoint.get(key)
-                if slot is None:
-                    adjoint[key] = g
-                else:
-                    adjoint[key] = slot + g
+            # a leaf's key is None: nothing reads its gradient
+            keys = [key if isinstance(key, _Node) else
+                    id(key) if id(key) in self._params else None for key in keys]
+            wanted = [key is not None for key in keys]
+            if not any(wanted):
+                continue
+            for key, g in zip(keys, rule(go, wanted)):
+                if key is not None:
+                    slot = adjoint.get(key)
+                    adjoint[key] = g if slot is None else slot + g
 
         self._grads = {}
         for tid, param in self._params.items():
@@ -412,100 +400,91 @@ class Tape:
     def _owns(self, tensor: Tensor) -> bool:
         return tensor.node is not None and tensor.node.owner is self._token
 
-    def _record(self, output: Tensor,
-                inputs: list[tuple[Tensor, Callable]],
-                params: list[tuple[Tensor, Callable]]) -> None:
-        for tensor, _ in params:
+    def _record(self, output: Tensor, inputs: list[Tensor], params: list[Tensor],
+                rule: Callable) -> None:
+        for tensor in params:
             if self._owns(tensor):
                 raise TapeError("a tensor produced by an op on this tape "
                                 "cannot be a parameter of it")
             self._params.setdefault(id(tensor), tensor)
         output.node = _Node(self._token)
-        self._records.append((output.node, [
-            (tensor.node if self._owns(tensor) else tensor, pull)
-            for tensor, pull in inputs + params]))
+        keys = [t.node if self._owns(t) else t for t in inputs + params]
+        self._records.append((output.node, keys, rule))
 
 
 def _by_sample(pool: WorkerPool | None, kernel: Callable,
-               shape: tuple[int, ...]) -> np.ndarray:
-    """The (n, ...) result of `kernel(lo, hi, out)` over samples [lo, hi).
+               *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """The (n, ...) results of `kernel(lo, hi, *outs)` over samples [lo, hi).
 
-    Without a pool the kernel runs once over the whole batch with
-    out=None and allocates its result. With one, `out` is a zeroed
-    one-sample slice of a preallocated result: each worker takes one
-    contiguous run of samples and calls the kernel one sample at a time,
-    so temporaries stay one sample in size.
+    The kernel returns one array per shape. Without a pool it runs once
+    over the whole batch with every out None and allocates its results.
+    With one, each out is a zeroed one-sample slice of a preallocated
+    result: each worker takes one contiguous run of samples and calls the
+    kernel one sample at a time, so temporaries stay one sample in size.
     """
-    n = shape[0]
+    n = shapes[0][0]
     if pool is None:
-        return kernel(0, n, None)
-    out = np.zeros(shape)
+        return kernel(0, n, *[None] * len(shapes))
+    outs = [np.zeros(shape) for shape in shapes]
 
     def run(lo: int, hi: int) -> None:
         for s in range(lo, hi):
-            kernel(s, s + 1, out[s:s + 1])
+            kernel(s, s + 1, *[out[s:s + 1] for out in outs])
 
     runs = min(pool.workers, n)
     bounds = [n * r // runs for r in range(runs + 1)]
     list(pool.map(run, bounds[:-1], bounds[1:]))
-    return out
+    return outs
 
 
-def _gathered_pulls(pool: WorkerPool | None, xp: np.ndarray, weight: np.ndarray,
-                    groups: int, padding: int,
-                    extent: tuple[int, int]) -> tuple[Callable, Callable]:
-    """The input and weight pulls of a stride-1 conv with padding < k.
+def _gathered_rule(pool: WorkerPool | None, xp: np.ndarray, weight: np.ndarray,
+                   groups: int, padding: int, extent: tuple[int, int]) -> Callable:
+    """The adjoint rule of a stride-1 conv with padding < k.
 
     Both gradients come from one gather: G, the im2col columns of the
     output gradient padded by k - 1 - padding, one column per pixel of
-    the unpadded (h, w) input. The flipped kernel, transposed per group,
-    times G is the input gradient; G times the input's interior is the
-    weight gradient with its taps flipped. The input pull computes both
-    per sample and leaves the weight products for the weight pull, which
-    backward runs next; when the input pull is skipped (a leaf input) the
-    weight pull gathers G itself.
+    the unpadded (h, w) input. G times the input's interior is the weight
+    gradient with its taps flipped; the flipped kernel, transposed per
+    group, times G is the input gradient. One per-sample kernel computes
+    the weight products and, when the input gradient is wanted, that too.
     """
     n, c_in = xp.shape[:2]
     c_out, c_in_g, kh, kw = weight.shape
     h, w = extent
     c_out_g = c_out // groups
     rows = c_out_g * kh * kw
-    products = None  # (n, groups, rows, c_in_g), left by pull_x for pull_weight
 
     def grad_columns(go: np.ndarray, lo: int, hi: int) -> np.ndarray:
         gop = _pad(go[lo:hi], kh - 1 - padding, kw - 1 - padding)
         return _im2col(gop, kh, kw, 1, h, w).reshape(hi - lo, groups, rows, h * w)
 
-    def weight_products(cols: np.ndarray, lo: int, hi: int,
-                        out: np.ndarray | None) -> np.ndarray:
-        # reshaping the strided interior copies it contiguous
-        interior = xp[lo:hi, :, padding:padding + h, padding:padding + w].reshape(
-            hi - lo, groups, c_in_g, h * w)
-        return np.matmul(cols, interior.transpose(0, 1, 3, 2), out=out)
-
-    def pull_x(go: np.ndarray) -> np.ndarray:
-        nonlocal products
-        products = np.empty((n, groups, rows, c_in_g))
+    def rule(go: np.ndarray, wanted: list[bool]) -> list[np.ndarray | None]:
         w_t = weight.reshape(groups, c_out_g, c_in_g, kh, kw)[..., ::-1, ::-1].transpose(
             0, 2, 1, 3, 4).reshape(groups, c_in_g, rows)
 
-        def both(lo: int, hi: int, gx: np.ndarray | None) -> np.ndarray:
+        def kernel(lo: int, hi: int, products: np.ndarray | None,
+                   gx: np.ndarray | None = None) -> list[np.ndarray]:
             cols = grad_columns(go, lo, hi)
-            weight_products(cols, lo, hi, products[lo:hi])
+            # reshaping the strided interior copies it contiguous; as a
+            # temporary it is freed before the input gradient is allocated
+            interior = xp[lo:hi, :, padding:padding + h, padding:padding + w]
+            products = np.matmul(
+                cols, interior.reshape(hi - lo, groups, c_in_g, h * w).transpose(0, 1, 3, 2),
+                out=products)
+            if not wanted[0]:
+                return [products]
             if gx is not None:
                 gx = gx.reshape(hi - lo, groups, c_in_g, h * w)
-            return np.matmul(w_t[None], cols, out=gx).reshape(hi - lo, c_in, h, w)
+            return [products,
+                    np.matmul(w_t[None], cols, out=gx).reshape(hi - lo, c_in, h, w)]
 
-        return _by_sample(pool, both, (n, c_in, h, w))
+        products, *gx = _by_sample(pool, kernel, (n, groups, rows, c_in_g),
+                                   *[(n, c_in, h, w)] * wanted[0])
+        flipped = products.sum(axis=0).reshape(groups, c_out_g, kh, kw, c_in_g)
+        return [gx[0] if gx else None,
+                flipped.transpose(0, 1, 4, 2, 3)[..., ::-1, ::-1].reshape(weight.shape)]
 
-    def pull_weight(go: np.ndarray) -> np.ndarray:
-        summands = products if products is not None else _by_sample(
-            pool, lambda lo, hi, out: weight_products(grad_columns(go, lo, hi), lo, hi, out),
-            (n, groups, rows, c_in_g))
-        flipped = summands.sum(axis=0).reshape(groups, c_out_g, kh, kw, c_in_g)
-        return flipped.transpose(0, 1, 4, 2, 3)[..., ::-1, ::-1].reshape(weight.shape)
-
-    return pull_x, pull_weight
+    return rule
 
 
 def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:

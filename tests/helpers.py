@@ -138,17 +138,15 @@ class ColumnKeepingTape(Tape):
         w_g = weight.data.reshape(groups, c_out // groups, ckk)
         result = Tensor(np.matmul(w_g[None], cols_g).reshape(n, c_out, h_out, w_out))
 
-        def pull_weight(go: np.ndarray) -> np.ndarray:
+        def rule(go: np.ndarray, wanted: list[bool]) -> list[np.ndarray | None]:
             go_g = go.reshape(n, groups, c_out // groups, L)
-            gw = np.matmul(go_g, cols_g.transpose(0, 1, 3, 2)).sum(axis=0)
-            return gw.reshape(weight.shape)
-
-        def pull_x(go: np.ndarray) -> np.ndarray:
-            go_g = go.reshape(n, groups, c_out // groups, L)
+            gw = np.matmul(go_g, cols_g.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape)
+            if not wanted[0]:
+                return [None, gw]
             gcols = np.matmul(w_g.transpose(0, 2, 1)[None], go_g)
             gxp = _col2im(gcols.reshape(n, c_in * kh * kw, L), np.zeros(xp.shape),
                           kh, kw, stride, h_out, w_out)
-            return gxp[:, :, padding:padding + h, padding:padding + w]
+            return [gxp[:, :, padding:padding + h, padding:padding + w], gw]
 
-        self._record(result, [(x, pull_x)], [(weight, pull_weight)])
+        self._record(result, [x], [weight], rule)
         return result

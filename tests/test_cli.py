@@ -213,6 +213,11 @@ BAD_GENOMES = {
     "{stride_bool}": ({"stride": True}, {}),
     "{resolution_3d}": ({}, {"input_resolution": [8, 8, 7]}),
     "{resnet_expansion_2}": ({}, {"expansion": 2}),
+    "{stage_number}": ({}, {"stages": [5]}),
+    "{stages_text}": ({}, {"stages": "ab"}),
+    "{resolution_number}": ({}, {"input_resolution": 8}),
+    "{unknown_genome_key}": ({}, {"expanson": 2}),
+    "{unknown_stage_key}": ({"strde": 1}, {}),
 }
 
 # (stage-0 fields, entry fields) overwritten in a one-entry archive of the
@@ -227,8 +232,8 @@ BAD_ARCHIVES = {
 }
 
 # the second line of a records file of the "{genome}" file to give the named
-# placeholder (the valid record updated by a dict, else the value itself),
-# and what the error names
+# placeholder (the valid record updated by a dict, or by the dict a function
+# makes of the valid genome, else the value itself), and what the error names
 BAD_RECORDS = {
     "{accuracy_bool}": ({"test_accuracy": True}, b":2: test_accuracy: "),
     "{accuracy_text_number}": ({"test_accuracy": "85"}, b":2: test_accuracy: "),
@@ -239,6 +244,11 @@ BAD_RECORDS = {
     "{id_null}": ({"id": None}, b":2: id: must be a JSON string, got null"),
     "{id_number}": ({"id": 7}, b":2: id: must be a JSON string, got 7"),
     "{id_object}": ({"id": {"k": 1}}, b":2: id: must be a JSON string, got {"),
+    "{genome_number}": ({"genome": 5}, b":2: genome: must be a JSON object, got 5"),
+    "{genome_stages_text}": (lambda genome: {"genome": {**genome, "stages": "ab"}},
+                             b":2: stages: must be a JSON array"),
+    "{genome_unknown_key}": (lambda genome: {"genome": {**genome, "expanson": 2}},
+                             b":2: expanson: unknown field"),
 }
 
 # (CLI arguments, "{genome}" standing for the genome file and "{records}" for
@@ -270,6 +280,11 @@ BAD_INPUT_CASES = [
     (["score", "{stride_bool}", *FAST], b"stages[0].stride"),
     (["latency", "{resolution_3d}"], b"input_resolution"),
     (["score", "{resnet_expansion_2}", *FAST], b"expansion"),
+    (["score", "{stage_number}", *FAST], b"stages[0]: must be a JSON object, got 5"),
+    (["latency", "{stages_text}"], b'stages: must be a JSON array, got "ab"'),
+    (["score", "{resolution_number}", *FAST], b"input_resolution: must be a JSON array"),
+    (["latency", "{unknown_genome_key}"], b"expanson: unknown field"),
+    (["score", "{unknown_stage_key}", *FAST], b"stages[0].strde: unknown field"),
     (["pareto-plotdata", "{archive_nan_score}"], b"entry 0: zico_bc"),
     (["pareto-plotdata", "{archive_text_score}"], b"entry 0: score"),
     (["pareto-plotdata", "{archive_inf_latency}"], b"entry 0: latency_us"),
@@ -307,8 +322,11 @@ class TestValidation:
             files[name] = str(bad)
         for name, (value, _) in BAD_RECORDS.items():
             first, second = records.read_text().splitlines(keepends=True)[:2]
+            record = json.loads(second)
+            if callable(value):
+                value = value(record["genome"])
             if isinstance(value, dict):
-                value = {**json.loads(second), **value}
+                value = {**record, **value}
             bad = tmp_path / f"{name.strip('{}')}.jsonl"
             bad.write_text(first + json.dumps(value) + "\n")
             files[name] = str(bad)

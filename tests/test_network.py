@@ -289,6 +289,18 @@ class TestSerialization:
         with pytest.raises(GenomeError, match="field"):
             genome_from_json(json.dumps({"family": "resnet_like"}))
 
+    def test_only_schema_keys_and_expansion_may_be_left_out(self):
+        g = random_genome(np.random.default_rng(42), family="resnet_like")
+        data = json.loads(genome_to_json(g))
+        del data["expansion"]
+        assert genome_from_json(json.dumps(data)) == g
+        with pytest.raises(GenomeError, match=r"^expanson: unknown field$"):
+            genome_from_json(json.dumps({**data, "expanson": 2}))
+        data["stages"][-1]["strde"] = 1
+        with pytest.raises(GenomeError, match=re.escape(
+                f"stages[{len(g.stages) - 1}].strde: unknown field")):
+            genome_from_json(json.dumps(data))
+
 
 def space_around(g: Genome, **choices) -> GenomeSpace:
     """A search space with g's family and topology; choices default to every
