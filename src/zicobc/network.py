@@ -275,7 +275,10 @@ def _json_array(value, path: str) -> list:
 
 
 def genome_from_dict(data) -> Genome:
-    """The genome a parsed JSON object describes; `expansion` may be left out."""
+    """The genome a parsed JSON object describes; `expansion` may be left out.
+
+    A missing, unknown or mistyped field raises GenomeError naming it.
+    """
     _json_object(data, "", Genome)
     stages = tuple(StageGene(**_json_object(s, f"stages[{i}]", StageGene))
                    for i, s in enumerate(_json_array(data["stages"], "stages")))

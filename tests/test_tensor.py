@@ -263,7 +263,9 @@ class TestTapeMemory:
         assert tape.grad(w).shape == w.shape
 
     @staticmethod
-    def _count_by_sample(monkeypatch, calls):
+    def _count_by_sample(monkeypatch) -> list:
+        """The shapes of every later `_by_sample` call, one tuple per call."""
+        calls = []
         by_sample = tensor_module._by_sample
 
         def counting(pool, kernel, *shapes):
@@ -271,13 +273,13 @@ class TestTapeMemory:
             return by_sample(pool, kernel, *shapes)
 
         monkeypatch.setattr(tensor_module, "_by_sample", counting)
+        return calls
 
     # (n, groups, c_out * k * k, c_in) products at stride 1, where the
     # output gradient's columns are gathered; (n, groups, c_out, c_in * k * k)
     # at stride 2, where the input's are
     @pytest.mark.parametrize("stride,products", [(1, (2, 1, 27, 2)), (2, (2, 1, 3, 18))])
     def test_leaf_input_gradient_is_never_computed(self, monkeypatch, stride, products):
-        calls = []
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(2, 2, 5, 5)))
         w = Tensor(rng.normal(size=(3, 2, 3, 3)))
@@ -285,17 +287,16 @@ class TestTapeMemory:
         tape = Tape()
         h = tape.global_avg_pool(tape.conv2d(x, w, stride=stride, padding=1))
         loss = tape.cross_entropy_loss(tape.dense(h, wd), [0, 3])
-        self._count_by_sample(monkeypatch, calls)
+        calls = self._count_by_sample(monkeypatch)
         tape.backward(loss)
         # the weight gradient's products only
         assert calls == [(products,)]
 
     @pytest.mark.parametrize("stride,shapes", [
-        (1, [(2, 4, 27, 1), (2, 4, 5, 5)]),  # products, then the input gradient
-        (2, [(2, 4, 3, 9), (2, 4, 7, 7)]),  # products, then the padded input gradient
+        (1, ((2, 4, 27, 1), (2, 4, 5, 5))),  # products, then the input gradient
+        (2, ((2, 4, 3, 9), (2, 4, 7, 7))),  # products, then the padded input gradient
     ])
     def test_conv_backward_is_one_by_sample_call(self, monkeypatch, stride, shapes):
-        calls = []
         rng = np.random.default_rng(24)
         x = Tensor(rng.normal(size=(2, 2, 5, 5)))
         w1 = Tensor(rng.normal(size=(4, 2, 1, 1)))
@@ -305,11 +306,11 @@ class TestTapeMemory:
         h = tape.conv2d(tape.relu(tape.conv2d(x, w1)), w2, stride=stride,
                         padding=1, groups=4)
         loss = tape.cross_entropy_loss(tape.dense(tape.global_avg_pool(h), wd), [0, 3])
-        self._count_by_sample(monkeypatch, calls)
+        calls = self._count_by_sample(monkeypatch)
         tape.backward(loss)
         # the grouped conv's one call gives both gradients; the 1x1 conv
         # reads the data batch, so its one call gives the products only
-        assert calls == [tuple(shapes), ((2, 1, 4, 2),)]
+        assert calls == [shapes, ((2, 1, 4, 2),)]
 
 
 def _genome(family, conv_mode, stride, kernel, rng):
