@@ -278,7 +278,8 @@ class TestTapeMemory:
     # (n, groups, c_out * k * k, c_in) products at stride 1, where the
     # output gradient's columns are gathered; (n, groups, c_out, c_in * k * k)
     # at stride 2, where the input's are
-    @pytest.mark.parametrize("stride,products", [(1, (2, 1, 27, 2)), (2, (2, 1, 3, 18))])
+    @pytest.mark.parametrize("stride,products", [(1, (2, 1, 27, 2)), (2, (2, 1, 3, 18))],
+                             ids=["stride_1", "stride_2"])
     def test_leaf_input_gradient_is_never_computed(self, monkeypatch, stride, products):
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(2, 2, 5, 5)))
@@ -295,7 +296,7 @@ class TestTapeMemory:
     @pytest.mark.parametrize("stride,shapes", [
         (1, ((2, 4, 27, 1), (2, 4, 5, 5))),  # products, then the input gradient
         (2, ((2, 4, 3, 9), (2, 4, 7, 7))),  # products, then the padded input gradient
-    ])
+    ], ids=["stride_1", "stride_2"])
     def test_conv_backward_is_one_by_sample_call(self, monkeypatch, stride, shapes):
         rng = np.random.default_rng(24)
         x = Tensor(rng.normal(size=(2, 2, 5, 5)))
