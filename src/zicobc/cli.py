@@ -25,12 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correlation import (
-    CorrelationError,
-    RecordError,
-    load_records,
-    run_correlation,
-)
+from .correlation import RecordError, load_records, run_correlation
 from .latency import (
     LatencyModelError,
     LatencyTable,
@@ -41,6 +36,7 @@ from .network import (
     FAMILIES,
     GenomeError,
     compile_genome,
+    genome_from_dict,
     genome_from_json,
 )
 from .proxy import (
@@ -153,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corr = sub.add_parser(
         "correlate", help="rank-correlate proxy scores with recorded accuracies")
-    p_corr.add_argument("--records", required=True,
+    p_corr.add_argument("--records", default=None,
                         help="JSONL benchmark records: {id, genome, test_accuracy}")
     _add_proxy_flags(p_corr)
     _add_threads_flag(p_corr)
@@ -283,9 +279,14 @@ def _load_manifest_args(parser: argparse.ArgumentParser,
         manifest = json.loads(Path(current.from_manifest).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestError(f"cannot read manifest: {exc}") from None
-    for key in ("subcommand", "config", "input_digests"):
+    if not isinstance(manifest, dict):
+        raise ManifestError("manifest must be a JSON object")
+    for key, kind in (("subcommand", str), ("config", dict), ("input_digests", dict)):
         if key not in manifest:
             raise ManifestError(f"manifest missing {key!r}")
+        if not isinstance(manifest[key], kind):
+            raise ManifestError(f"manifest {key}: must be a JSON "
+                                f"{'string' if kind is str else 'object'}")
     for path, digest in manifest["input_digests"].items():
         try:
             actual = _sha256_file(path)
@@ -297,23 +298,25 @@ def _load_manifest_args(parser: argparse.ArgumentParser,
     name = manifest["subcommand"]
     if name not in _COMMANDS:
         raise ManifestError(f"unknown subcommand {name!r} in manifest")
-    # start from this subcommand's defaults and keep only the options it
-    # still defines: older manifests may lack ones it has since gained
-    # (`threads` for score) and carry ones it has since dropped
+    # replay `config` as a command line, so every value is typed and checked
+    # as on a live run; options the subcommand has since gained take their
+    # defaults, and keys it has since dropped are ignored
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    defaults = {action.dest: action.default for action in sub.choices[name]._actions
-                if action.default is not argparse.SUPPRESS}
-    replayed = argparse.Namespace(**defaults)
-    for key, value in manifest["config"].items():
-        if key in defaults:
-            setattr(replayed, key, value)
-    replayed.command = name
-    replayed.func = _COMMANDS[name]
-    replayed.from_manifest = None
-    replayed.out = current.out
-    replayed.log = getattr(current, "log", None)
+    config = {**manifest["config"], "out": current.out,
+              "log": getattr(current, "log", None)}
+    argv, positionals = [name], []
+    for action in sub.choices[name]._actions:
+        value = config.get(action.dest)
+        if value is None:
+            continue
+        if action.option_strings:
+            argv.append(f"{action.option_strings[-1]}={value}")
+        else:
+            positionals.append(str(value))
+    if positionals:  # after "--", so a path such as "-g.json" stays a path
+        argv += ["--", *positionals]
     _warn_environment_drift(manifest.get("environment"))
-    return replayed
+    return parser.parse_args(argv)
 
 
 def _warn_environment_drift(recorded) -> None:
@@ -452,6 +455,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    if not args.records:
+        raise RecordError("--records: a records file is required")
     records = load_records(args.records)
     settings = _score_settings(args)
     report = run_correlation(records, settings, threads=args.threads)
@@ -478,7 +483,7 @@ PLOTDATA_HEADER = "depth,mean_width,score,latency"
 
 def cmd_pareto_plotdata(args: argparse.Namespace) -> int:
     if not args.archive:
-        raise CorrelationError("archive file argument is required")
+        raise RecordError("archive file argument is required")
     try:
         entries = json.loads(Path(args.archive).read_text())
     except json.JSONDecodeError as exc:
@@ -487,28 +492,22 @@ def cmd_pareto_plotdata(args: argparse.Namespace) -> int:
         raise RecordError(f"{args.archive}: archive must be a JSON array")
     lines = [PLOTDATA_HEADER]
     for i, entry in enumerate(entries):
+        where = f"{args.archive}: entry {i}"
+        if not isinstance(entry, dict):
+            raise RecordError(f"{where}: must be a JSON object, got {json.dumps(entry)}")
         try:
-            stages = entry["genome"]["stages"]
-            score_field = "zico_bc" if entry.get("zico_bc") is not None else "score"
-            score, latency = entry[score_field], entry["latency_us"]
-            counts = [(f"stages[{j}].{name}", stage[name])
-                      for j, stage in enumerate(stages) for name in ("repeats", "channels")]
-        except (KeyError, TypeError) as exc:
-            raise RecordError(
-                f"{args.archive}: entry {i} malformed: {exc}") from None
-        if not stages:
-            raise RecordError(f"{args.archive}: entry {i}: stages: empty")
-        for field, value in counts:
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise RecordError(f"{args.archive}: entry {i}: {field}: must be a "
-                                  f"positive integer, got {value!r}")
+            stages = genome_from_dict(entry.get("genome")).stages
+        except GenomeError as exc:
+            raise RecordError(f"{where}: {exc}") from None
+        score_field = "zico_bc" if entry.get("zico_bc") is not None else "score"
+        score, latency = entry.get(score_field), entry.get("latency_us")
         for field, value in ((score_field, score), ("latency_us", latency)):
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
                     or not math.isfinite(value):
-                raise RecordError(f"{args.archive}: entry {i}: {field}: must be a "
-                                  f"finite number, got {value!r}")
-        depth = sum(s["repeats"] for s in stages)
-        width = sum(s["repeats"] * s["channels"] for s in stages) / depth
+                raise RecordError(f"{where}: {field}: must be a finite number, "
+                                  f"got {value!r}")
+        depth = sum(s.repeats for s in stages)
+        width = sum(s.repeats * s.channels for s in stages) / depth
         lines.append(f"{depth},{width!r},{score!r},{latency!r}")
     _emit("\n".join(lines) + "\n", args, [args.archive])
     print(f"{len(entries)} archive points", file=sys.stderr)

@@ -132,7 +132,7 @@ def load_records(path) -> list[BenchmarkRecord]:
                 rec_id = obj["id"]
                 accuracy = obj["test_accuracy"]
                 genome = genome_from_dict(obj["genome"])
-            except (KeyError, TypeError) as exc:
+            except KeyError as exc:
                 raise RecordError(f"{path}:{lineno}: missing field {exc}") from None
             except GenomeError as exc:
                 raise RecordError(f"{path}:{lineno}: {exc}") from None

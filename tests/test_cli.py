@@ -38,6 +38,19 @@ def genome_file(tmp_path):
 FAST = ["--batches", "2", "--batch-size", "2"]
 
 
+def assert_replays(command, out, tmp_path, extra=()):
+    """Replaying `out`'s manifest through `command` writes `out`'s bytes and
+    a manifest whose config equals the original's."""
+    manifest = Path(str(out) + ".manifest.json")
+    replay = tmp_path / f"replay-{out.name}"
+    code, _, err = run_cli([command, "--from-manifest", str(manifest),
+                            "--out", str(replay), *extra])
+    assert code == 0, err.decode()
+    assert replay.read_bytes() == out.read_bytes()
+    replayed = json.loads(Path(str(replay) + ".manifest.json").read_text())
+    assert replayed["config"] == json.loads(manifest.read_text())["config"]
+
+
 class TestScore:
     def test_beta_changes_only_zico_bc(self, genome_file):
         path, _ = genome_file
@@ -187,6 +200,15 @@ class TestScore:
         assert outs[0][0] == 0
         assert outs[0][1] == outs[1][1] == outs[2][1]
 
+    def test_replay_keeps_a_dash_path_positional(self, genome_file, tmp_path, monkeypatch):
+        path, _ = genome_file
+        monkeypatch.chdir(tmp_path)
+        Path("-g.json").write_bytes(path.read_bytes())
+        assert main(["score", *FAST, "--out", "s.json", "--", "-g.json"]) == 0
+        assert main(["score", "--from-manifest", "s.json.manifest.json",
+                     "--out", "r.json"]) == 0
+        assert Path("r.json").read_bytes() == Path("s.json").read_bytes()
+
     def test_replay_detects_changed_input(self, genome_file, tmp_path):
         path, genome = genome_file
         out1 = tmp_path / "score.json"
@@ -221,7 +243,8 @@ BAD_GENOMES = {
 }
 
 # (stage-0 fields, entry fields) overwritten in a one-entry archive of the
-# "{genome}" file to give the named placeholder
+# "{genome}" file, or a function of that entry giving the entry, to give the
+# named placeholder
 BAD_ARCHIVES = {
     "{archive_nan_score}": ({}, {"zico_bc": math.nan}),
     "{archive_text_score}": ({}, {"zico_bc": None, "score": "8.0"}),
@@ -229,6 +252,13 @@ BAD_ARCHIVES = {
     "{archive_text_channels}": ({"channels": "32"}, {}),
     "{archive_bool_repeats}": ({"repeats": True}, {}),
     "{archive_zero_repeats}": ({"repeats": 0}, {}),
+    "{archive_unknown_stage_key}": ({"strde": 1}, {}),
+    "{archive_channels_12}": ({"channels": 12}, {}),
+    "{archive_no_family}": lambda entry: {
+        **entry, "genome": {k: v for k, v in entry["genome"].items() if k != "family"}},
+    "{archive_entry_number}": lambda entry: 5,
+    "{archive_stages_text}": lambda entry: {
+        **entry, "genome": {**entry["genome"], "stages": "ab"}},
 }
 
 # the second line of a records file of the "{genome}" file to give the named
@@ -291,9 +321,36 @@ BAD_INPUT_CASES = [
     (["pareto-plotdata", "{archive_text_channels}"], b"entry 0: stages[0].channels"),
     (["pareto-plotdata", "{archive_bool_repeats}"], b"entry 0: stages[0].repeats"),
     (["pareto-plotdata", "{archive_zero_repeats}"], b"entry 0: stages[0].repeats"),
+    (["pareto-plotdata", "{archive_unknown_stage_key}"],
+     b"entry 0: stages[0].strde: unknown field"),
+    (["pareto-plotdata", "{archive_channels_12}"], b"entry 0: stages[0].channels"),
+    (["pareto-plotdata", "{archive_no_family}"], b"entry 0: family: missing field"),
+    (["pareto-plotdata", "{archive_entry_number}"],
+     b"entry 0: must be a JSON object, got 5"),
+    (["pareto-plotdata", "{archive_stages_text}"],
+     b'entry 0: stages: must be a JSON array, got "ab"'),
     *((["correlate", "--records", name, *FAST], field)
       for name, (_, field) in BAD_RECORDS.items()),
 ]
+
+
+# a score manifest's config updated by a dict, or the manifest replaced by
+# a function of it, to give the named case; and what the error names (the
+# genome positional has no flag, so that error names the path it gives)
+BAD_MANIFESTS = {
+    "threads_text": ({"threads": "x"}, b"argument --threads: invalid int value: 'x'"),
+    "seed_text": ({"seed": "abc"}, b"argument --seed: invalid int value: 'abc'"),
+    "batches_float": ({"batches": 2.5}, b"argument --batches: invalid int value: '2.5'"),
+    "threads_bool": ({"threads": True}, b"argument --threads: invalid int value: 'True'"),
+    "genome_number": ({"genome": 5}, b"No such file or directory: '5'"),
+    "manifest_number": (lambda m: 5, b"manifest must be a JSON object"),
+    "config_list": (lambda m: {**m, "config": [1]},
+                    b"manifest config: must be a JSON object"),
+    "digests_list": (lambda m: {**m, "input_digests": [1]},
+                     b"manifest input_digests: must be a JSON object"),
+    "subcommand_list": (lambda m: {**m, "subcommand": ["score"]},
+                        b"manifest subcommand: must be a JSON string"),
+}
 
 
 class TestValidation:
@@ -312,11 +369,14 @@ class TestValidation:
             bad = tmp_path / f"{name.strip('{}')}.json"
             bad.write_text(json.dumps(obj))
             files[name] = str(bad)
-        for name, (gene_fields, fields) in BAD_ARCHIVES.items():
+        for name, value in BAD_ARCHIVES.items():
             entry = {"genome": genome_to_dict(genome), "zico_bc": 8.0,
                      "score": 8.0, "latency_us": 123.5}
-            entry["genome"]["stages"][0].update(gene_fields)
-            entry.update(fields)
+            if callable(value):
+                entry = value(entry)
+            else:
+                entry["genome"]["stages"][0].update(value[0])
+                entry.update(value[1])
             bad = tmp_path / f"{name.strip('{}')}.json"
             bad.write_text(json.dumps([entry]))
             files[name] = str(bad)
@@ -338,6 +398,24 @@ class TestValidation:
             assert field in err, (args, err.decode())
             # rejected before anything is scored or priced
             assert b"generation" not in err and b"Traceback" not in err, args
+
+    def test_bad_manifest_exits_2_naming_key(self, genome_file, tmp_path):
+        path, _ = genome_file
+        out = tmp_path / "score.json"
+        assert run_cli(["score", str(path), *FAST, "--out", str(out)])[0] == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        for name, (change, field) in BAD_MANIFESTS.items():
+            if callable(change):
+                bad = change(manifest)
+            else:
+                bad = {**manifest, "config": {**manifest["config"], **change}}
+            bad_path = tmp_path / f"{name}.manifest.json"
+            bad_path.write_text(json.dumps(bad))
+            code, stdout, err = run_cli(["score", "--from-manifest", str(bad_path)])
+            assert code == 2, (name, err.decode())
+            assert stdout == b"", name
+            assert field in err, (name, err.decode())
+            assert b"Traceback" not in err, name
 
 
 class TestSearch:
@@ -409,6 +487,16 @@ class TestSearch:
                                 "--out", str(replay)])
         assert code == 0, err.decode()
         assert replay.read_bytes() == stdout
+
+    def test_replay_gives_every_option_back(self, tmp_path):
+        out, log = tmp_path / "a.json", tmp_path / "a.jsonl"
+        args = [*SEARCH_FAST, "--seed", "6", "--latency-ceiling-us", "1234.5",
+                "--mutation-rate", "0.7", "--fallback-us-per-mac", "0.0007"]
+        code, _, err = run_cli([*args, "--out", str(out), "--log", str(log)])
+        assert code == 0, err.decode()
+        replay_log = tmp_path / "replay.jsonl"
+        assert_replays("search", out, tmp_path, ["--log", str(replay_log)])
+        assert replay_log.read_bytes() == log.read_bytes()
 
     def test_population_validation(self):
         code, _, err = run_cli([*SEARCH_FAST, "--population", "5"])
@@ -542,6 +630,25 @@ class TestCorrelate:
         assert report["tau"] == 1.0
         assert report["rho"] == 1.0
 
+    def test_manifest_replays_through_correlate(self, tmp_path):
+        rng = np.random.default_rng(9)
+        genomes = [genome_to_dict(random_genome(rng, max_stages=1)) for _ in range(3)]
+        records = tmp_path / "bench.jsonl"
+        records.write_text("".join(
+            json.dumps({"id": f"r{i}", "genome": g, "test_accuracy": 50.0 + i}) + "\n"
+            for i, g in enumerate(genomes)))
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["correlate", "--records", str(records), "--seed", "2",
+                                "--beta", "0.5", *FAST, "--out", str(out)])
+        assert code == 0, err.decode()
+        assert_replays("correlate", out, tmp_path)
+
+    def test_records_required(self):
+        code, out, err = run_cli(["correlate", *FAST])
+        assert code == 2
+        assert out == b""
+        assert b"--records" in err and b"Traceback" not in err
+
     def test_correlate_deterministic_across_threads(self, tmp_path):
         rng = np.random.default_rng(8)
         lines = []
@@ -564,6 +671,17 @@ class TestParetoPlotdata:
         code, out, _ = run_cli(["pareto-plotdata", str(archive)])
         assert code == 0
         assert out == b"depth,mean_width,score,latency\n"
+
+    def test_manifest_replays(self, genome_file, tmp_path):
+        _, genome = genome_file
+        archive = tmp_path / "a.json"
+        archive.write_text(json.dumps([{"genome": genome_to_dict(genome),
+                                        "zico_bc": None, "score": 8.25,
+                                        "latency_us": 123.5}]))
+        out = tmp_path / "points.csv"
+        code, _, err = run_cli(["pareto-plotdata", str(archive), "--out", str(out)])
+        assert code == 0, err.decode()
+        assert_replays("pareto-plotdata", out, tmp_path)
 
     def test_columns(self, tmp_path):
         entry = {
