@@ -4,9 +4,10 @@ Outputs are machine-first: primary results go to standard output (or
 --out) as JSON/CSV; human-oriented summaries go to standard error. Every
 run with --out also writes a manifest (<out>.manifest.json) recording the
 fully resolved configuration, seeds, tool version, and input digests;
---from-manifest replays a manifest and reproduces the output byte for
-byte. Exit codes: 0 success, 2 usage or validation error, 3 runtime
-evaluation failure.
+--from-manifest replays a manifest of the same subcommand and reproduces
+the output byte for byte; only --out and --log may be given with it.
+Exit codes: 0 success, 2 usage or validation error, 3 runtime evaluation
+failure.
 
 Generation logs and crowding distances may contain IEEE infinities; they
 are serialized as Python's JSON extension token `Infinity`.
@@ -208,7 +209,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                         "default: stdout")
     p.add_argument("--from-manifest", default=None,
                    help="replay a previous run's manifest, reproducing its "
-                        "output byte for byte (default: none)")
+                        "output byte for byte; takes no other option but --out "
+                        "and --log (default: none)")
 
 
 def _resolve_common(args: argparse.Namespace) -> None:
@@ -228,7 +230,7 @@ def _resolve_common(args: argparse.Namespace) -> None:
 
 # -- manifest -----------------------------------------------------------------
 
-_NON_CONFIG_KEYS = ("func", "from_manifest", "out", "log")
+_NON_CONFIG_KEYS = ("func", "command", "from_manifest", "out", "log")
 
 
 def _build_manifest(args: argparse.Namespace, input_paths: list[str]) -> dict:
@@ -275,6 +277,17 @@ def _sha256_file(path) -> str:
 
 def _load_manifest_args(parser: argparse.ArgumentParser,
                         current: argparse.Namespace) -> argparse.Namespace:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # the manifest's config gives every other option, so a live one that
+    # differs from its default would be dropped
+    defaults = vars(parser.parse_args([current.command]))
+    live = {k for k, v in vars(current).items()
+            if k not in _NON_CONFIG_KEYS and v != defaults[k]}
+    if live:
+        named = [a.option_strings[-1] if a.option_strings else a.dest
+                 for a in sub.choices[current.command]._actions if a.dest in live]
+        raise ManifestError(f"--from-manifest replays the manifest's options; "
+                            f"give only --out and --log with it, not {', '.join(named)}")
     try:
         manifest = json.loads(Path(current.from_manifest).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -287,6 +300,10 @@ def _load_manifest_args(parser: argparse.ArgumentParser,
         if not isinstance(manifest[key], kind):
             raise ManifestError(f"manifest {key}: must be a JSON "
                                 f"{'string' if kind is str else 'object'}")
+    name = manifest["subcommand"]
+    if name != current.command:
+        raise ManifestError(f"manifest is for `zicobc {name}`, not "
+                            f"`zicobc {current.command}`")
     for path, digest in manifest["input_digests"].items():
         try:
             actual = _sha256_file(path)
@@ -295,13 +312,9 @@ def _load_manifest_args(parser: argparse.ArgumentParser,
         if actual != digest:
             raise ManifestError(
                 f"input {path} changed since the manifest was written")
-    name = manifest["subcommand"]
-    if name not in _COMMANDS:
-        raise ManifestError(f"unknown subcommand {name!r} in manifest")
     # replay `config` as a command line, so every value is typed and checked
     # as on a live run; options the subcommand has since gained take their
     # defaults, and keys it has since dropped are ignored
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     config = {**manifest["config"], "out": current.out,
               "log": getattr(current, "log", None)}
     argv, positionals = [name], []

@@ -35,6 +35,14 @@ MAX_REPEATS = 12
 CHANNEL_STEP = 8
 
 
+def check_ints(numbers, error: type[ValueError]) -> None:
+    """Raise `error` naming the first (field, value) pair whose value is not
+    an int; a bool is not one. Genomes and all settings share this rule."""
+    for field, value in numbers:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise error(f"{field}: must be an integer, got {value!r}")
+
+
 class GenomeError(ValueError):
     """Genome violates a schema invariant; message names the field."""
 
@@ -78,9 +86,7 @@ class Genome:
         numbers += [("stem_channels", self.stem_channels), ("num_classes", self.num_classes),
                     ("input_resolution[0]", h), ("input_resolution[1]", w),
                     ("expansion", self.expansion)]
-        for field, value in numbers:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise GenomeError(f"{field}: must be a JSON integer, got {value!r}")
+        check_ints(numbers, GenomeError)
         if self.family not in FAMILIES:
             raise GenomeError(f"family: unknown family {self.family!r}")
         if not 1 <= len(self.stages) <= MAX_STAGES:

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .network import Genome, LayerGraph, compile_genome, init_weights
+from .network import Genome, LayerGraph, check_ints, compile_genome, init_weights
 from .tensor import Tape, Tensor, WorkerPool, seeded_fill
 
 GRAD_EPS = 1e-12
@@ -34,8 +34,14 @@ class ProxyError(ValueError):
 
 @dataclass
 class LayerStats:
-    mean_abs_grad: np.ndarray  # per parameter; signed means under mode="signed"
-    var_grad: np.ndarray       # unbiased variance across batches, per parameter
+    """One layer's per-parameter gradient statistics across batches.
+
+    `mean_abs_grad` is the score's numerator: the mean of |g| in stat mode
+    `abs`, the mean of g in `signed`. One pass yields both; the mode picks.
+    """
+
+    mean_abs_grad: np.ndarray
+    var_grad: np.ndarray  # unbiased variance of g across batches, per parameter
 
 
 @dataclass
@@ -79,6 +85,14 @@ class ScoreSettings:
     resolution: tuple[int, int] | None = None  # overrides the genome's when set
 
     def __post_init__(self) -> None:
+        numbers = [("batches", self.batches), ("batch_size", self.batch_size),
+                   ("seed", self.seed)]
+        if self.resolution is not None:
+            if not isinstance(self.resolution, tuple) or len(self.resolution) != 2:
+                raise ProxyError(f"resolution: need a tuple of 2 extents (HxW), "
+                                 f"got {self.resolution!r}")
+            numbers += [(f"resolution[{i}]", v) for i, v in enumerate(self.resolution)]
+        check_ints(numbers, ProxyError)
         if not 0 <= self.beta < math.inf:
             raise ProxyError(f"beta must be finite and >= 0, got {self.beta}")
         if self.batches < 2:
@@ -118,9 +132,12 @@ def _batch_seed(seed: int, batch: int, stream: int) -> int:
 class GradientAccumulator:
     """Streaming per-parameter mean and unbiased variance across batches.
 
-    Means use running (Welford) updates and variances the M2 recurrence,
-    so statistics stay accurate even when gradients barely vary between
+    One Welford recurrence (running means and the M2 sum), started at
+    zero, keeps per layer the mean of |g|, the mean of g and M2, so
+    statistics stay accurate even when gradients barely vary between
     batches; nothing proportional to the batch count is ever stored.
+    Both stat modes' numerators come from the same pass; `mode` only
+    picks the one `finalize` reports.
     """
 
     def __init__(self, mode: str = "abs") -> None:
@@ -128,42 +145,34 @@ class GradientAccumulator:
             raise ProxyError(f"unknown stat mode {mode!r}")
         self.mode = mode
         self.count = 0
-        self._mean_num: list[np.ndarray] = []
-        self._mean_sgn: list[np.ndarray] = []
+        self._mean_abs: list[np.ndarray] = []
+        self._mean: list[np.ndarray] = []
         self._m2: list[np.ndarray] = []
 
     def update(self, layer_grads: list[np.ndarray]) -> None:
         """Fold in one batch's flat gradient vector per layer."""
-        self.count += 1
-        if self.count == 1:
-            for g in layer_grads:
-                g = np.asarray(g, dtype=np.float64).reshape(-1)
-                self._mean_num.append(np.abs(g) if self.mode == "abs" else g.copy())
-                self._mean_sgn.append(g.copy())
-                self._m2.append(np.zeros_like(g))
-            return
-        if len(layer_grads) != len(self._mean_sgn):
+        grads = [np.asarray(g, dtype=np.float64).reshape(-1) for g in layer_grads]
+        if not self._m2:  # zero state, shaped by the batch that first arrives
+            self._mean_abs, self._mean, self._m2 = (
+                [np.zeros_like(g) for g in grads] for _ in range(3))
+        if len(grads) != len(self._m2):
             raise ProxyError(
-                f"batch supplies {len(layer_grads)} layers, expected "
-                f"{len(self._mean_sgn)}")
-        for li, g in enumerate(layer_grads):
-            g = np.asarray(g, dtype=np.float64).reshape(-1)
-            gn = np.abs(g) if self.mode == "abs" else g
-            self._mean_num[li] += (gn - self._mean_num[li]) / self.count
-            delta = g - self._mean_sgn[li]
-            self._mean_sgn[li] += delta / self.count
-            self._m2[li] += delta * (g - self._mean_sgn[li])
+                f"batch supplies {len(grads)} layers, expected {len(self._m2)}")
+        self.count += 1
+        for g, mean_abs, mean, m2 in zip(grads, self._mean_abs, self._mean, self._m2):
+            mean_abs += (np.abs(g) - mean_abs) / self.count
+            delta = g - mean
+            mean += delta / self.count
+            m2 += delta * (g - mean)
 
     def finalize(self) -> GradientStats:
         if self.count < 2:
             raise ProxyError(
                 f"need at least 2 batches for an unbiased variance, got {self.count}")
-        layers = [
-            LayerStats(mean_abs_grad=self._mean_num[li],
-                       var_grad=self._m2[li] / (self.count - 1))
-            for li in range(len(self._mean_sgn))
-        ]
-        return GradientStats(layers=layers)
+        numerators = self._mean_abs if self.mode == "abs" else self._mean
+        return GradientStats(layers=[
+            LayerStats(mean_abs_grad=num, var_grad=m2 / (self.count - 1))
+            for num, m2 in zip(numerators, self._m2)])
 
 
 def gather_gradient_stats(graph: LayerGraph, batches, mode: str = "abs",

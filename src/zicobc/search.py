@@ -30,6 +30,7 @@ from .network import (
     GenomeError,
     StageGene,
     _mix,
+    check_ints,
     crossover as genome_crossover,
     genome_to_json,
     mode_is_legal,
@@ -66,6 +67,8 @@ class SearchConfig:
     latency_ceiling_us: float | None = None
 
     def __post_init__(self) -> None:
+        check_ints([("population", self.population), ("generations", self.generations),
+                    ("seed", self.seed)], SearchConfigError)
         if self.population < 4 or self.population % 2:
             raise SearchConfigError(
                 f"population must be even and >= 4, got {self.population}")

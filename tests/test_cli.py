@@ -105,6 +105,7 @@ class TestScore:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["subcommand"] == "score"
         assert manifest["config"]["seed"] == 3
+        assert "command" not in manifest["config"]  # the subcommand says it once
         assert str(path) in manifest["input_digests"]
 
         out2 = tmp_path / "replay.json"
@@ -416,6 +417,36 @@ class TestValidation:
             assert stdout == b"", name
             assert field in err, (name, err.decode())
             assert b"Traceback" not in err, name
+
+
+# a live command line around "--from-manifest {manifest}" of a score run,
+# and what the refusal names; replay would otherwise drop the live part
+LIVE_WITH_MANIFEST = {
+    "option": (["score", "--beta", "5"], [b"--beta"]),
+    "options_and_positional": (["score", "{other}", "--seed", "99", *FAST],
+                               [b"genome", b"--seed", b"--batches", b"--batch-size"]),
+    "positional": (["score", "{other}"], [b"genome"]),
+    "subcommand": (["latency"], [b"zicobc score", b"zicobc latency"]),
+}
+
+
+class TestReplayRefusals:
+    @pytest.mark.parametrize("case", LIVE_WITH_MANIFEST)
+    def test_live_input_replay_would_drop_exits_2(self, case, genome_file, tmp_path):
+        path, _ = genome_file
+        out = tmp_path / "score.json"
+        assert run_cli(["score", str(path), *FAST, "--out", str(out)])[0] == 0
+        other = tmp_path / "other.json"
+        other.write_bytes(path.read_bytes())
+        live, named = LIVE_WITH_MANIFEST[case]
+        replay = tmp_path / "replay.json"
+        code, stdout, err = run_cli([str(other) if a == "{other}" else a for a in live]
+                                    + ["--from-manifest", str(out) + ".manifest.json",
+                                       "--out", str(replay)])
+        assert code == 2, err.decode()
+        assert stdout == b"" and not replay.exists()
+        assert all(name in err for name in named), err.decode()
+        assert b"Traceback" not in err
 
 
 class TestSearch:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from zicobc.network import (
 )
 from zicobc.proxy import (
     GRAD_EPS,
+    STAT_MODES,
     GradientAccumulator,
     GradientStats,
     LayerStats,
@@ -52,7 +54,59 @@ def shaped_graph(shapes) -> LayerGraph:
     return LayerGraph(layers=layers, program=[], input_shape=(3, 8, 8), num_classes=4)
 
 
+def two_array_stats(batches, mode) -> list[tuple[bytes, bytes]]:
+    """(numerator, variance) bytes per layer from the earlier accumulator:
+    the first batch copied in as the start, then the numerator mean run
+    beside the signed mean and M2 as a recurrence of its own."""
+    mean_num, mean_sgn, m2 = [], [], []
+    for count, grads in enumerate(batches, 1):
+        if count == 1:
+            for g in grads:
+                mean_num.append(np.abs(g) if mode == "abs" else g.copy())
+                mean_sgn.append(g.copy())
+                m2.append(np.zeros_like(g))
+            continue
+        for li, g in enumerate(grads):
+            gn = np.abs(g) if mode == "abs" else g
+            mean_num[li] += (gn - mean_num[li]) / count
+            delta = g - mean_sgn[li]
+            mean_sgn[li] += delta / count
+            m2[li] += delta * (g - mean_sgn[li])
+    return [(num.tobytes(), (m / (len(batches) - 1)).tobytes())
+            for num, m in zip(mean_num, m2)]
+
+
 class TestGradientAccumulator:
+    @pytest.mark.parametrize("mode", STAT_MODES)
+    def test_matches_two_array_recurrence(self, mode):
+        # both numerators from one zero-started pass give the bytes of the
+        # copy-started recurrences, signed and negative zeros included
+        rng = np.random.default_rng(65)
+        for _ in range(200):
+            sizes = rng.integers(1, 20, size=rng.integers(1, 4))
+            batches = []
+            for _ in range(rng.integers(2, 7)):
+                grads = []
+                for n in sizes:
+                    g = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 3)
+                    pick = rng.random(n)
+                    g[pick < 0.2] = 0.0
+                    g[(pick >= 0.2) & (pick < 0.4)] = -0.0
+                    grads.append(g)
+                batches.append(grads)
+            acc = GradientAccumulator(mode=mode)
+            for grads in batches:
+                acc.update([g.copy() for g in grads])
+            got = [(layer.mean_abs_grad.tobytes(), layer.var_grad.tobytes())
+                   for layer in acc.finalize().layers]
+            assert got == two_array_stats(batches, mode)
+
+    def test_layer_count_change_rejected(self):
+        acc = GradientAccumulator()
+        acc.update([np.ones(2), np.ones(3)])
+        with pytest.raises(ProxyError, match="supplies 1 layers, expected 2"):
+            acc.update([np.ones(2)])
+
     def test_two_point_dense_statistics(self):
         # y = w * x, loss = y: dL/dw equals the batch input
         grads = []
@@ -96,13 +150,14 @@ class TestGradientAccumulator:
 
 
 class TestGatherGradientStats:
-    def test_matches_store_all_oracle(self):
+    @pytest.mark.parametrize("stat_mode", STAT_MODES)
+    def test_matches_store_all_oracle(self, stat_mode):
         rng = np.random.default_rng(61)
         for _ in range(10):
             genome = random_genome(rng, max_stages=1, max_repeats=1)
             graph = init_weights(compile_genome(genome), 2)
             batches = make_batches(graph, 8, 2, seed=5)
-            stats = gather_gradient_stats(graph, batches)
+            stats = gather_gradient_stats(graph, batches, mode=stat_mode)
 
             # oracle: store all B gradient vectors, then mean/var directly
             stored = [[] for _ in graph.layers]
@@ -118,8 +173,11 @@ class TestGatherGradientStats:
                     stored[li].append(np.concatenate(vec))
             for li in range(len(graph.layers)):
                 g = np.stack(stored[li])
-                np.testing.assert_allclose(stats.layers[li].mean_abs_grad,
-                                           np.abs(g).mean(axis=0), rtol=1e-12, atol=0)
+                numerator = np.abs(g) if stat_mode == "abs" else g
+                # 1e-12 of the mean |g|: relative in abs mode, and in signed
+                # mode scaled to the terms a cancelling mean sums
+                error = np.abs(stats.layers[li].mean_abs_grad - numerator.mean(axis=0))
+                assert np.all(error <= 1e-12 * np.abs(g).mean(axis=0)), li
                 np.testing.assert_allclose(stats.layers[li].var_grad,
                                            g.var(axis=0, ddof=1), rtol=1e-12,
                                            atol=1e-300)
@@ -317,6 +375,18 @@ class TestScoreGenome:
         valid = ScoreSettings(batches=2, batch_size=2, resolution=(16, 16))
         with pytest.raises(ProxyError, match=field):
             dataclasses.replace(valid, **{field: value})
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("batches", 2.5, "batches"), ("batch_size", 2.0, "batch_size"),
+        ("seed", 1.5, "seed"), ("seed", True, "seed"), ("batches", "4", "batches"),
+        ("resolution", (16.0, 16), "resolution[0]"),
+        ("resolution", (16, np.int64(16)), "resolution[1]"),
+        ("resolution", (0, 16, 16), "resolution"), ("resolution", 16, "resolution"),
+    ])
+    def test_bad_integer_field_raises_naming_it(self, field, value, named):
+        # an int, not a bool: the rule genome numbers follow; and two extents
+        with pytest.raises(ProxyError, match=rf"^{re.escape(named)}: "):
+            ScoreSettings(**{"batches": 2, "batch_size": 2, field: value})
 
 
 class TestParallelMap:

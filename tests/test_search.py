@@ -290,6 +290,15 @@ class TestSearchConfig:
         with pytest.raises(SearchConfigError, match=field):
             dataclasses.replace(valid, **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("population", 16.0), ("generations", 2.5), ("generations", True),
+        ("seed", 1.5), ("seed", "3"),
+    ])
+    def test_non_integer_field_raises_naming_it(self, field, value):
+        # an int, not a bool: the rule genome numbers follow
+        with pytest.raises(SearchConfigError, match=f"^{field}: must be an integer"):
+            SearchConfig(**{"population": 8, "generations": 2, field: value})
+
 
 class TestGenomeSpace:
     def test_samples_are_valid_genomes(self):
