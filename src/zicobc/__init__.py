@@ -9,7 +9,6 @@ from .correlation import (
     kendall_tau,
     load_records,
     run_correlation,
-    save_records,
     spearman_rho,
 )
 from .latency import (
@@ -18,7 +17,6 @@ from .latency import (
     LatencyTableError,
     estimate,
     load_table,
-    save_table,
 )
 from .network import (
     Genome,
@@ -61,9 +59,9 @@ from .tensor import Tape, Tensor, seeded_fill
 __all__ = [
     "__version__",
     "BenchmarkRecord", "CorrelationError", "kendall_tau", "load_records",
-    "run_correlation", "save_records", "spearman_rho",
+    "run_correlation", "spearman_rho",
     "LatencyModelError", "LatencyTable", "LatencyTableError", "estimate",
-    "load_table", "save_table",
+    "load_table",
     "Genome", "GenomeError", "LayerGraph", "StageGene",
     "compile_genome", "count_macs", "count_params", "crossover",
     "genome_from_json", "genome_to_json", "init_weights", "layer_macs",

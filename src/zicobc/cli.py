@@ -4,8 +4,10 @@ Outputs are machine-first: primary results go to standard output (or
 --out) as JSON/CSV; human-oriented summaries go to standard error. Every
 run with --out also writes a manifest (<out>.manifest.json) recording the
 fully resolved configuration, seeds, tool version, and input digests;
---from-manifest replays a manifest of the same subcommand and reproduces
-the output byte for byte; only --out and --log may be given with it.
+`replay MANIFEST` reruns it and reproduces the output byte for byte, and
+takes no option but --out and --log. Replay was once an option of every
+subcommand, named from-manifest; a script that still passes it to
+`zicobc X` gets exit 2 and should call `zicobc replay M`.
 Exit codes: 0 success, 2 usage or validation error, 3 runtime evaluation
 failure.
 
@@ -72,14 +74,7 @@ class ManifestError(ValueError):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "from_manifest", None):
-        try:
-            args = _load_manifest_args(parser, args)
-        except ManifestError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
         _resolve_common(args)
         return args.func(args)
@@ -100,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser(
         "score", help="score one genome and print the proxy JSON")
-    p_score.add_argument("genome", nargs="?", help="genome JSON file")
+    p_score.add_argument("genome", help="genome JSON file")
     _add_proxy_flags(p_score)
     _add_threads_flag(p_score)
     _add_common_flags(p_score)
@@ -150,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corr = sub.add_parser(
         "correlate", help="rank-correlate proxy scores with recorded accuracies")
-    p_corr.add_argument("--records", default=None,
+    p_corr.add_argument("--records", required=True,
                         help="JSONL benchmark records: {id, genome, test_accuracy}")
     _add_proxy_flags(p_corr)
     _add_threads_flag(p_corr)
@@ -158,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lat = sub.add_parser(
         "latency", help="estimate one genome's latency from a lookup table")
-    p_lat.add_argument("genome", nargs="?", help="genome JSON file")
+    p_lat.add_argument("genome", help="genome JSON file")
     p_lat.add_argument("--table", default=None,
                        help="CSV latency table path (default: none)")
     p_lat.add_argument("--fallback-us-per-mac", type=float, default=0.001,
@@ -169,11 +164,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser(
         "pareto-plotdata",
         help="flatten an archive JSON into depth/width/score/latency CSV")
-    p_plot.add_argument("archive", nargs="?", help="archive JSON file from `search`")
+    p_plot.add_argument("archive", help="archive JSON file from `search`")
     _add_common_flags(p_plot)
 
-    for name, sp in ((n, sub.choices[n]) for n in sub.choices):
-        sp.set_defaults(func=_COMMANDS[name], command=name)
+    for name, func in _COMMANDS.items():
+        sub.choices[name].set_defaults(func=func, command=name)
+
+    p_replay = sub.add_parser(
+        "replay", help="rerun a manifest, reproducing its output byte for byte")
+    p_replay.add_argument("manifest", help="manifest JSON written next to an --out file")
+    _add_common_flags(p_replay)
+    p_replay.add_argument("--log", default=None,
+                          help="write the log here; search manifests only (default: none)")
+    p_replay.set_defaults(func=cmd_replay)
     return parser
 
 
@@ -207,10 +210,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None,
                    help="write primary output here (and a manifest next to it); "
                         "default: stdout")
-    p.add_argument("--from-manifest", default=None,
-                   help="replay a previous run's manifest, reproducing its "
-                        "output byte for byte; takes no other option but --out "
-                        "and --log (default: none)")
 
 
 def _resolve_common(args: argparse.Namespace) -> None:
@@ -230,7 +229,7 @@ def _resolve_common(args: argparse.Namespace) -> None:
 
 # -- manifest -----------------------------------------------------------------
 
-_NON_CONFIG_KEYS = ("func", "command", "from_manifest", "out", "log")
+_NON_CONFIG_KEYS = ("func", "command", "out", "log")
 
 
 def _build_manifest(args: argparse.Namespace, input_paths: list[str]) -> dict:
@@ -275,23 +274,13 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _load_manifest_args(parser: argparse.ArgumentParser,
-                        current: argparse.Namespace) -> argparse.Namespace:
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    # the manifest's config gives every other option, so a live one that
-    # differs from its default would be dropped
-    defaults = vars(parser.parse_args([current.command]))
-    live = {k for k, v in vars(current).items()
-            if k not in _NON_CONFIG_KEYS and v != defaults[k]}
-    if live:
-        named = [a.option_strings[-1] if a.option_strings else a.dest
-                 for a in sub.choices[current.command]._actions if a.dest in live]
-        raise ManifestError(f"--from-manifest replays the manifest's options; "
-                            f"give only --out and --log with it, not {', '.join(named)}")
+def cmd_replay(args: argparse.Namespace) -> int:
+    """Rerun the manifest's subcommand on its recorded options and the live
+    --out and --log, so a subcommand without --log refuses it."""
     try:
-        manifest = json.loads(Path(current.from_manifest).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"cannot read manifest: {exc}") from None
+        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ManifestError(f"cannot read manifest: {args.manifest}: {exc}") from None
     if not isinstance(manifest, dict):
         raise ManifestError("manifest must be a JSON object")
     for key, kind in (("subcommand", str), ("config", dict), ("input_digests", dict)):
@@ -301,9 +290,9 @@ def _load_manifest_args(parser: argparse.ArgumentParser,
             raise ManifestError(f"manifest {key}: must be a JSON "
                                 f"{'string' if kind is str else 'object'}")
     name = manifest["subcommand"]
-    if name != current.command:
-        raise ManifestError(f"manifest is for `zicobc {name}`, not "
-                            f"`zicobc {current.command}`")
+    if name not in _COMMANDS:
+        raise ManifestError(f"manifest subcommand: must be one of "
+                            f"{', '.join(_COMMANDS)}, got {json.dumps(name)}")
     for path, digest in manifest["input_digests"].items():
         try:
             actual = _sha256_file(path)
@@ -315,21 +304,23 @@ def _load_manifest_args(parser: argparse.ArgumentParser,
     # replay `config` as a command line, so every value is typed and checked
     # as on a live run; options the subcommand has since gained take their
     # defaults, and keys it has since dropped are ignored
-    config = {**manifest["config"], "out": current.out,
-              "log": getattr(current, "log", None)}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
     argv, positionals = [name], []
     for action in sub.choices[name]._actions:
-        value = config.get(action.dest)
-        if value is None:
+        value = manifest["config"].get(action.dest)
+        if value is None or action.dest in _NON_CONFIG_KEYS:
             continue
         if action.option_strings:
             argv.append(f"{action.option_strings[-1]}={value}")
         else:
             positionals.append(str(value))
+    argv += [f"--{key}={value}" for key, value in (("out", args.out), ("log", args.log))
+             if value is not None]
     if positionals:  # after "--", so a path such as "-g.json" stays a path
         argv += ["--", *positionals]
     _warn_environment_drift(manifest.get("environment"))
-    return parser.parse_args(argv)
+    return main(argv)
 
 
 def _warn_environment_drift(recorded) -> None:
@@ -386,10 +377,11 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _read_genome(path: str | None):
-    if not path:
-        raise GenomeError("genome file argument is required")
-    return genome_from_json(Path(path).read_text())
+def _read_genome(path: str):
+    try:
+        return genome_from_json(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise GenomeError(f"{path}: {exc}") from None
 
 
 def _latency_table(path: str | None, fallback_us_per_mac: float) -> LatencyTable:
@@ -468,8 +460,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    if not args.records:
-        raise RecordError("--records: a records file is required")
     records = load_records(args.records)
     settings = _score_settings(args)
     report = run_correlation(records, settings, threads=args.threads)
@@ -495,11 +485,9 @@ PLOTDATA_HEADER = "depth,mean_width,score,latency"
 
 
 def cmd_pareto_plotdata(args: argparse.Namespace) -> int:
-    if not args.archive:
-        raise RecordError("archive file argument is required")
     try:
-        entries = json.loads(Path(args.archive).read_text())
-    except json.JSONDecodeError as exc:
+        entries = json.loads(Path(args.archive).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bytes that are not UTF-8, too
         raise RecordError(f"{args.archive}: invalid JSON: {exc}") from None
     if not isinstance(entries, list):
         raise RecordError(f"{args.archive}: archive must be a JSON array")

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .network import Genome, GenomeError, genome_from_dict, genome_to_dict
+from .network import Genome, GenomeError, genome_from_dict
 from .proxy import ProxyError, ScoreSettings, parallel_map, score_genome
 
 
@@ -115,52 +115,46 @@ class BenchmarkRecord:
 
 def load_records(path) -> list[BenchmarkRecord]:
     """Read JSON-lines benchmark records: {id, genome, test_accuracy}."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise RecordError(f"{path}: {exc}") from None
     records = []
     seen = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise RecordError(f"{path}:{lineno}: record must be a JSON object")
-            try:
-                rec_id = obj["id"]
-                accuracy = obj["test_accuracy"]
-                genome = genome_from_dict(obj["genome"])
-            except KeyError as exc:
-                raise RecordError(f"{path}:{lineno}: missing field {exc}") from None
-            except GenomeError as exc:
-                raise RecordError(f"{path}:{lineno}: {exc}") from None
-            if not isinstance(rec_id, str):
-                raise RecordError(f"{path}:{lineno}: id: must be a JSON string, "
-                                  f"got {json.dumps(rec_id)}")
-            if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float)):
-                raise RecordError(f"{path}:{lineno}: test_accuracy: must be a "
-                                  f"JSON number, got {json.dumps(accuracy)}")
-            if not 0.0 <= accuracy <= 100.0:  # before float(): a huge int overflows it
-                raise RecordError(f"{path}:{lineno}: test_accuracy: "
-                                  f"{accuracy} outside [0, 100]")
-            if rec_id in seen:
-                raise RecordError(f"{path}:{lineno}: duplicate id {rec_id!r}")
-            seen.add(rec_id)
-            records.append(BenchmarkRecord(id=rec_id, genome=genome,
-                                           test_accuracy=float(accuracy)))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise RecordError(f"{path}:{lineno}: record must be a JSON object")
+        try:
+            rec_id = obj["id"]
+            accuracy = obj["test_accuracy"]
+            genome = genome_from_dict(obj["genome"])
+        except KeyError as exc:
+            raise RecordError(f"{path}:{lineno}: missing field {exc}") from None
+        except GenomeError as exc:
+            raise RecordError(f"{path}:{lineno}: {exc}") from None
+        if not isinstance(rec_id, str):
+            raise RecordError(f"{path}:{lineno}: id: must be a JSON string, "
+                              f"got {json.dumps(rec_id)}")
+        if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float)):
+            raise RecordError(f"{path}:{lineno}: test_accuracy: must be a "
+                              f"JSON number, got {json.dumps(accuracy)}")
+        if not 0.0 <= accuracy <= 100.0:  # before float(): a huge int overflows it
+            raise RecordError(f"{path}:{lineno}: test_accuracy: "
+                              f"{accuracy} outside [0, 100]")
+        if rec_id in seen:
+            raise RecordError(f"{path}:{lineno}: duplicate id {rec_id!r}")
+        seen.add(rec_id)
+        records.append(BenchmarkRecord(id=rec_id, genome=genome,
+                                       test_accuracy=float(accuracy)))
     return records
-
-
-def save_records(records, path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps({"id": rec.id,
-                                 "genome": genome_to_dict(rec.genome),
-                                 "test_accuracy": rec.test_accuracy},
-                                sort_keys=True))
-            fh.write("\n")
 
 
 def run_correlation(records: list[BenchmarkRecord], settings: ScoreSettings,

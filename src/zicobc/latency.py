@@ -95,47 +95,61 @@ def estimate(graph: LayerGraph, table: LatencyTable) -> LatencyEstimate:
 def load_table(path, fallback_us_per_mac: float = 0.0) -> LatencyTable:
     """Read a latency table from CSV; header row is mandatory.
 
-    Columns: op,cin,cout,hout,wout,k,groups,stride,us. Duplicate keys and
-    negative or non-finite latencies are rejected with the offending line
-    number.
+    Columns: op,cin,cout,hout,wout,k,groups,stride,us. A row must give a
+    key some layer can have (`layer_key`): op conv2d or dense, every
+    integer field positive, and hout, wout, k, groups and stride 1 on a
+    dense row. Any other row, a duplicate key, and a negative or
+    non-finite latency are rejected naming the line and the field.
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise LatencyTableError(f"{path}: {exc}") from None
+    if not rows:
+        raise LatencyTableError(f"{path}: empty file, expected header "
+                                f"{','.join(CSV_FIELDS)}")
+    if tuple(h.strip() for h in rows[0]) != CSV_FIELDS:
+        raise LatencyTableError(
+            f"{path}:1: bad header {','.join(rows[0])!r}, expected "
+            f"{','.join(CSV_FIELDS)}")
     entries: dict[LatencyKey, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LatencyTableError(f"{path}: empty file, expected header "
-                                    f"{','.join(CSV_FIELDS)}") from None
-        if tuple(h.strip() for h in header) != CSV_FIELDS:
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        where = f"{path}:{lineno}"
+        if len(row) != len(CSV_FIELDS):
             raise LatencyTableError(
-                f"{path}:1: bad header {','.join(header)!r}, expected "
-                f"{','.join(CSV_FIELDS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_FIELDS):
-                raise LatencyTableError(
-                    f"{path}:{lineno}: expected {len(CSV_FIELDS)} fields, "
-                    f"got {len(row)}")
-            try:
-                key: LatencyKey = (row[0].strip(),) + tuple(int(v) for v in row[1:8])
-                us = float(row[8])
-            except ValueError as exc:
-                raise LatencyTableError(f"{path}:{lineno}: {exc}") from None
-            if not 0 <= us < math.inf:
-                raise LatencyTableError(
-                    f"{path}:{lineno}: latency must be finite and >= 0, got {us}")
-            if key in entries:
-                raise LatencyTableError(f"{path}:{lineno}: duplicate key {key}")
-            entries[key] = us
+                f"{where}: expected {len(CSV_FIELDS)} fields, got {len(row)}")
+        key = _row_key(row, where)
+        try:
+            us = float(row[8])
+        except ValueError:
+            raise LatencyTableError(f"{where}: us: must be a number, "
+                                    f"got {row[8]!r}") from None
+        if not 0 <= us < math.inf:
+            raise LatencyTableError(f"{where}: us: must be finite and >= 0, got {us}")
+        if key in entries:
+            raise LatencyTableError(f"{where}: duplicate key {key}")
+        entries[key] = us
     return LatencyTable(entries=entries, fallback_us_per_mac=fallback_us_per_mac)
 
 
-def save_table(table: LatencyTable, path) -> None:
-    """Write a table in the same CSV dialect load_table reads."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for key in sorted(table.entries):
-            writer.writerow(list(key) + [repr(table.entries[key])])
+def _row_key(row: list[str], where: str) -> LatencyKey:
+    op = row[0].strip()
+    if op not in ("conv2d", "dense"):
+        raise LatencyTableError(f"{where}: op: must be conv2d or dense, got {op!r}")
+    values = []
+    for name, text in zip(CSV_FIELDS[1:8], row[1:8]):
+        try:
+            value = int(text)
+        except ValueError:
+            raise LatencyTableError(f"{where}: {name}: must be an integer, "
+                                    f"got {text!r}") from None
+        if value < 1:
+            raise LatencyTableError(f"{where}: {name}: must be >= 1, got {value}")
+        if op == "dense" and name not in ("cin", "cout") and value != 1:
+            raise LatencyTableError(f"{where}: {name}: must be 1 on a dense row, "
+                                    f"got {value}")
+        values.append(value)
+    return (op, *values)

@@ -1,14 +1,18 @@
-"""Shared test utilities: random genome generation and brute-force oracles."""
+"""Shared test utilities: random genome generation, brute-force oracles and
+writers of the file formats the program reads."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
+import json
 from typing import Iterable
 
 import numpy as np
 
-from zicobc.network import Genome, LayerGraph, StageGene
+from zicobc.latency import CSV_FIELDS, LatencyTable
+from zicobc.network import Genome, LayerGraph, StageGene, genome_to_dict
 from zicobc.proxy import _openblas
 from zicobc.tensor import Tape, Tensor, _col2im, _im2col
 
@@ -150,3 +154,23 @@ class ColumnKeepingTape(Tape):
 
         self._record(result, [x], [weight], rule)
         return result
+
+
+def save_records(records, path) -> None:
+    """Write benchmark records as the JSON lines `load_records` reads."""
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps({"id": rec.id,
+                                 "genome": genome_to_dict(rec.genome),
+                                 "test_accuracy": rec.test_accuracy},
+                                sort_keys=True))
+            fh.write("\n")
+
+
+def save_table(table: LatencyTable, path) -> None:
+    """Write a table in the same CSV dialect `load_table` reads."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_FIELDS)
+        for key in sorted(table.entries):
+            writer.writerow(list(key) + [repr(table.entries[key])])

@@ -24,7 +24,6 @@ from zicobc.correlation import (
     BenchmarkRecord,
     kendall_tau,
     run_correlation,
-    save_records,
     spearman_rho,
 )
 from zicobc.latency import LatencyTable, estimate, layer_key, layer_macs

@@ -1,17 +1,22 @@
+import copy
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_genome
+from helpers import random_genome, save_table
 from zicobc.network import genome_to_dict, genome_to_json
-from zicobc.latency import LatencyTable, save_table
+from zicobc.latency import LatencyTable
 from zicobc.cli import main
 from zicobc.proxy import blas_core
 
@@ -38,13 +43,12 @@ def genome_file(tmp_path):
 FAST = ["--batches", "2", "--batch-size", "2"]
 
 
-def assert_replays(command, out, tmp_path, extra=()):
-    """Replaying `out`'s manifest through `command` writes `out`'s bytes and
-    a manifest whose config equals the original's."""
+def assert_replays(out, tmp_path, extra=()):
+    """Replaying `out`'s manifest writes `out`'s bytes and a manifest whose
+    config equals the original's."""
     manifest = Path(str(out) + ".manifest.json")
     replay = tmp_path / f"replay-{out.name}"
-    code, _, err = run_cli([command, "--from-manifest", str(manifest),
-                            "--out", str(replay), *extra])
+    code, _, err = run_cli(["replay", str(manifest), "--out", str(replay), *extra])
     assert code == 0, err.decode()
     assert replay.read_bytes() == out.read_bytes()
     replayed = json.loads(Path(str(replay) + ".manifest.json").read_text())
@@ -107,12 +111,7 @@ class TestScore:
         assert manifest["config"]["seed"] == 3
         assert "command" not in manifest["config"]  # the subcommand says it once
         assert str(path) in manifest["input_digests"]
-
-        out2 = tmp_path / "replay.json"
-        code, _, _ = run_cli(["score", "--from-manifest", str(manifest_path),
-                              "--out", str(out2)])
-        assert code == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        assert_replays(out1, tmp_path)
 
     def test_manifest_reports_no_pool(self, genome_file, tmp_path):
         path, _ = genome_file
@@ -153,8 +152,7 @@ class TestScore:
         manifest["environment"]["blas"]["core"] = "Prescott"
         manifest_path.write_text(json.dumps(manifest))
         replay = tmp_path / "replay.json"
-        code, _, err = run_cli(["score", "--from-manifest", str(manifest_path),
-                                "--out", str(replay)])
+        code, _, err = run_cli(["replay", str(manifest_path), "--out", str(replay)])
         assert code == 0, err.decode()
         assert replay.read_bytes() == out.read_bytes()
         warnings = [line for line in err.decode().splitlines()
@@ -180,8 +178,7 @@ class TestScore:
             "input_digests": {str(path): hashlib.sha256(path.read_bytes()).hexdigest()},
         }))
         replay = tmp_path / "replay.json"
-        code, _, err = run_cli(["score", "--from-manifest", str(old),
-                                "--out", str(replay)])
+        code, _, err = run_cli(["replay", str(old), "--out", str(replay)])
         assert code == 0, err.decode()
         assert replay.read_bytes() == out.read_bytes()
 
@@ -206,8 +203,7 @@ class TestScore:
         monkeypatch.chdir(tmp_path)
         Path("-g.json").write_bytes(path.read_bytes())
         assert main(["score", *FAST, "--out", "s.json", "--", "-g.json"]) == 0
-        assert main(["score", "--from-manifest", "s.json.manifest.json",
-                     "--out", "r.json"]) == 0
+        assert main(["replay", "s.json.manifest.json", "--out", "r.json"]) == 0
         assert Path("r.json").read_bytes() == Path("s.json").read_bytes()
 
     def test_replay_detects_changed_input(self, genome_file, tmp_path):
@@ -215,8 +211,7 @@ class TestScore:
         out1 = tmp_path / "score.json"
         run_cli(["score", str(path), "--seed", "3", *FAST, "--out", str(out1)])
         path.write_text(genome_to_json(genome) + "\n")  # different bytes
-        code, _, err = run_cli(["score", "--from-manifest",
-                                str(tmp_path / "score.json.manifest.json")])
+        code, _, err = run_cli(["replay", str(tmp_path / "score.json.manifest.json")])
         assert code == 2
         assert b"changed" in err
 
@@ -332,12 +327,22 @@ BAD_INPUT_CASES = [
      b'entry 0: stages: must be a JSON array, got "ab"'),
     *((["correlate", "--records", name, *FAST], field)
       for name, (_, field) in BAD_RECORDS.items()),
+    (["score", "{genome_not_utf8}", *FAST], b"genome_not_utf8: 'utf-8' codec"),
+    (["correlate", "--records", "{records_not_utf8}", *FAST],
+     b"records_not_utf8: 'utf-8' codec"),
+    (["pareto-plotdata", "{archive_not_utf8}"], b"archive_not_utf8: invalid JSON: 'utf-8'"),
+    (["latency", "{genome}", "--table", "{table_not_utf8}"], b"table_not_utf8: 'utf-8' codec"),
 ]
+
+# input files whose bytes are not UTF-8, one for each reader
+NOT_UTF8 = ("{genome_not_utf8}", "{records_not_utf8}", "{archive_not_utf8}",
+            "{table_not_utf8}")
 
 
 # a score manifest's config updated by a dict, or the manifest replaced by
-# a function of it, to give the named case; and what the error names (the
-# genome positional has no flag, so that error names the path it gives)
+# a function of it (the file's bytes, when it gives bytes), to give the named
+# case; and what the error names (the genome positional has no flag, so that
+# error names the path it gives)
 BAD_MANIFESTS = {
     "threads_text": ({"threads": "x"}, b"argument --threads: invalid int value: 'x'"),
     "seed_text": ({"seed": "abc"}, b"argument --seed: invalid int value: 'abc'"),
@@ -351,6 +356,8 @@ BAD_MANIFESTS = {
                      b"manifest input_digests: must be a JSON object"),
     "subcommand_list": (lambda m: {**m, "subcommand": ["score"]},
                         b"manifest subcommand: must be a JSON string"),
+    "not_utf8": (lambda m: b"\xff\xfe" + json.dumps(m).encode(),
+                 b"not_utf8.manifest.json: 'utf-8' codec can't decode"),
 }
 
 
@@ -391,6 +398,10 @@ class TestValidation:
             bad = tmp_path / f"{name.strip('{}')}.jsonl"
             bad.write_text(first + json.dumps(value) + "\n")
             files[name] = str(bad)
+        for name in NOT_UTF8:
+            bad = tmp_path / name.strip("{}")
+            bad.write_bytes(b"\xff\xfe{}")
+            files[name] = str(bad)
         for args, field in BAD_INPUT_CASES:
             args = [files.get(a, a) for a in args]
             code, out, err = run_cli(args)
@@ -411,22 +422,26 @@ class TestValidation:
             else:
                 bad = {**manifest, "config": {**manifest["config"], **change}}
             bad_path = tmp_path / f"{name}.manifest.json"
-            bad_path.write_text(json.dumps(bad))
-            code, stdout, err = run_cli(["score", "--from-manifest", str(bad_path)])
+            bad_path.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
+            code, stdout, err = run_cli(["replay", str(bad_path)])
             assert code == 2, (name, err.decode())
             assert stdout == b"", name
             assert field in err, (name, err.decode())
             assert b"Traceback" not in err, name
 
 
-# a live command line around "--from-manifest {manifest}" of a score run,
-# and what the refusal names; replay would otherwise drop the live part
+# a live command line given after "replay {manifest}" of a score run, and
+# what the refusal names: replay takes no option but --out and --log, and
+# passes those on to the manifest's subcommand, so argparse refuses the rest
+# and nothing given live is dropped
 LIVE_WITH_MANIFEST = {
-    "option": (["score", "--beta", "5"], [b"--beta"]),
-    "options_and_positional": (["score", "{other}", "--seed", "99", *FAST],
-                               [b"genome", b"--seed", b"--batches", b"--batch-size"]),
-    "positional": (["score", "{other}"], [b"genome"]),
-    "subcommand": (["latency"], [b"zicobc score", b"zicobc latency"]),
+    "option": (["--beta", "5"], [b"unrecognized arguments: --beta 5"]),
+    "option_at_default": (["--beta", "1.0"], [b"unrecognized arguments: --beta 1.0"]),
+    "options_and_positional": (["{other}", "--seed", "99", *FAST],
+                               [b"other.json --seed 99 --batches 2 --batch-size 2"]),
+    "positional": (["{other}"], [b"unrecognized arguments: ", b"other.json"]),
+    "subcommand": (["latency"], [b"unrecognized arguments: latency"]),
+    "log_on_score": (["--log", "{log}"], [b"unrecognized arguments: --log="]),
 }
 
 
@@ -438,15 +453,111 @@ class TestReplayRefusals:
         assert run_cli(["score", str(path), *FAST, "--out", str(out)])[0] == 0
         other = tmp_path / "other.json"
         other.write_bytes(path.read_bytes())
+        log = tmp_path / "replay.jsonl"
         live, named = LIVE_WITH_MANIFEST[case]
         replay = tmp_path / "replay.json"
-        code, stdout, err = run_cli([str(other) if a == "{other}" else a for a in live]
-                                    + ["--from-manifest", str(out) + ".manifest.json",
-                                       "--out", str(replay)])
+        live = [{"{other}": str(other), "{log}": str(log)}.get(a, a) for a in live]
+        code, stdout, err = run_cli(["replay", str(out) + ".manifest.json",
+                                     "--out", str(replay), *live])
         assert code == 2, err.decode()
-        assert stdout == b"" and not replay.exists()
+        assert stdout == b"" and not replay.exists() and not log.exists()
         assert all(name in err for name in named), err.decode()
         assert b"Traceback" not in err
+
+    def test_flag_given_at_its_default_exits_2(self, genome_file, tmp_path):
+        # 0.001 is latency's default, so telling a live flag from an absent
+        # one by its value would drop it and replay the recorded 0.002
+        path, _ = genome_file
+        out = tmp_path / "l.json"
+        assert run_cli(["latency", str(path), "--fallback-us-per-mac", "0.002",
+                        "--out", str(out)])[0] == 0
+        replay = tmp_path / "replay.json"
+        code, stdout, err = run_cli(["replay", str(out) + ".manifest.json",
+                                     "--fallback-us-per-mac", "0.001",
+                                     "--out", str(replay)])
+        assert code == 2, err.decode()
+        assert stdout == b"" and not replay.exists()
+        assert b"unrecognized arguments: --fallback-us-per-mac 0.001" in err
+        assert b"Traceback" not in err
+
+    @pytest.mark.parametrize("subcommand", ["replay", "foo"])
+    def test_manifest_subcommand_must_be_replayable(self, subcommand, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"subcommand": subcommand, "config": {},
+                                        "input_digests": {}}))
+        code, stdout, err = run_cli(["replay", str(manifest)])
+        assert code == 2, err.decode()
+        assert stdout == b""
+        assert b"manifest subcommand: must be one of score, search, correlate, " \
+               b"latency, pareto-plotdata, got " + json.dumps(subcommand).encode() in err
+        assert b"Traceback" not in err
+
+
+# what one mutation may put into a latency manifest: values of the wrong
+# JSON type, numbers out of range, paths and option-like strings, and keys
+# the manifest does not have. No subcommand that scores is among them, since
+# a manifest that lost its config would run a default search for hours.
+ODD_VALUES = st.sampled_from([
+    None, True, False, 0, -1, 10 ** 400, 1e308, -1e308, math.nan, math.inf, -math.inf,
+    "", "x", "-g.json", "--beta", "/", "latency", "pareto-plotdata", "replay",
+    [], [1], {}, {"a": 1}])
+ODD_KEYS = st.sampled_from(["foo", "subcommand", "config", "genome", "table",
+                            "fallback_us_per_mac", "seed", "threads", "log"])
+
+
+def mutated_manifest(data, manifest: dict) -> bytes:
+    """The manifest's bytes after one drawn mutation: a key dropped, added
+    or given another value anywhere in it, or the text truncated, or one
+    byte made 0xff so the file is no longer UTF-8."""
+    text = json.dumps(manifest).encode()
+    kind = data.draw(st.sampled_from(["drop", "add", "set", "truncate", "not_utf8"]))
+    if kind == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    if kind == "not_utf8":
+        at = data.draw(st.integers(0, len(text) - 1))
+        return text[:at] + b"\xff" + text[at + 1:]
+    node = manifest = copy.deepcopy(manifest)
+    while True:
+        key = data.draw(st.sampled_from(sorted(node)))
+        if not (isinstance(node[key], dict) and node[key] and data.draw(st.booleans())):
+            break
+        node = node[key]
+    if kind == "drop":
+        del node[key]
+    else:
+        node[data.draw(ODD_KEYS) if kind == "add" else key] = data.draw(ODD_VALUES)
+    return json.dumps(manifest).encode()
+
+
+@pytest.fixture(scope="module")
+def latency_manifest(tmp_path_factory):
+    work = tmp_path_factory.mktemp("replay")
+    genome = work / "g.json"
+    genome.write_text(genome_to_json(random_genome(np.random.default_rng(0), max_stages=1)))
+    out = work / "l.json"
+    with redirect_stderr(io.StringIO()):
+        assert main(["latency", str(genome), "--fallback-us-per-mac", "0.002",
+                     "--out", str(out)]) == 0
+    return work, json.loads(Path(str(out) + ".manifest.json").read_text())
+
+
+class TestReplayProperty:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_mutated_manifest_exits_0_2_or_3(self, latency_manifest, data):
+        # exit 3 is a latency estimate with no table entry and no fallback
+        work, manifest = latency_manifest
+        path = work / "mutated.manifest.json"
+        path.write_bytes(mutated_manifest(data, manifest))
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            try:
+                code = main(["replay", str(path)])
+            except SystemExit as exc:  # argparse refusing a replayed value
+                code = exc.code
+        event(f"exit {code}")
+        assert code in (0, 2, 3), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
 
 
 class TestSearch:
@@ -514,8 +625,7 @@ class TestSearch:
         manifest["environment"] = {"numpy": "0.0", "blas_threads": 64}
         manifest_path.write_text(json.dumps(manifest))
         replay = tmp_path / "replay.json"
-        code, _, err = run_cli(["search", "--from-manifest", str(manifest_path),
-                                "--out", str(replay)])
+        code, _, err = run_cli(["replay", str(manifest_path), "--out", str(replay)])
         assert code == 0, err.decode()
         assert replay.read_bytes() == stdout
 
@@ -526,7 +636,7 @@ class TestSearch:
         code, _, err = run_cli([*args, "--out", str(out), "--log", str(log)])
         assert code == 0, err.decode()
         replay_log = tmp_path / "replay.jsonl"
-        assert_replays("search", out, tmp_path, ["--log", str(replay_log)])
+        assert_replays(out, tmp_path, ["--log", str(replay_log)])
         assert replay_log.read_bytes() == log.read_bytes()
 
     def test_population_validation(self):
@@ -572,6 +682,19 @@ class TestLatency:
         assert result["total_us"] == 2.5 * len(graph.layers)
         assert result["misses"] == 0
 
+    def test_manifest_replays(self, genome_file, tmp_path):
+        path, genome = genome_file
+        from zicobc.latency import layer_key
+        from zicobc.network import compile_genome
+        first = compile_genome(genome).layers[0]
+        table_path = tmp_path / "t.csv"
+        save_table(LatencyTable(entries={layer_key(first): 2.5}), table_path)
+        out = tmp_path / "l.json"
+        code, _, err = run_cli(["latency", str(path), "--table", str(table_path),
+                                "--fallback-us-per-mac", "0.002", "--out", str(out)])
+        assert code == 0, err.decode()
+        assert_replays(out, tmp_path)
+
     def test_old_manifest_with_seed_and_threads_replays(self, genome_file, tmp_path):
         path, _ = genome_file
         fresh = tmp_path / "fresh.json"
@@ -589,8 +712,7 @@ class TestLatency:
         manifest_path = tmp_path / "old.manifest.json"
         manifest_path.write_text(json.dumps(old))
         replay = tmp_path / "replay.json"
-        code, _, err = run_cli(["latency", "--from-manifest", str(manifest_path),
-                                "--out", str(replay)])
+        code, _, err = run_cli(["replay", str(manifest_path), "--out", str(replay)])
         assert code == 0, err.decode()
         assert replay.read_bytes() == fresh.read_bytes()
         # the new manifest drops the options latency no longer has
@@ -672,7 +794,7 @@ class TestCorrelate:
         code, _, err = run_cli(["correlate", "--records", str(records), "--seed", "2",
                                 "--beta", "0.5", *FAST, "--out", str(out)])
         assert code == 0, err.decode()
-        assert_replays("correlate", out, tmp_path)
+        assert_replays(out, tmp_path)
 
     def test_records_required(self):
         code, out, err = run_cli(["correlate", *FAST])
@@ -712,7 +834,7 @@ class TestParetoPlotdata:
         out = tmp_path / "points.csv"
         code, _, err = run_cli(["pareto-plotdata", str(archive), "--out", str(out)])
         assert code == 0, err.decode()
-        assert_replays("pareto-plotdata", out, tmp_path)
+        assert_replays(out, tmp_path)
 
     def test_columns(self, tmp_path):
         entry = {
@@ -740,13 +862,14 @@ class TestParetoPlotdata:
 
 
 # the shared options each subcommand offers: --seed where it scores,
-# --threads where it runs a worker pool
+# --threads where it runs a worker pool, --log where it writes a search log
 SHARED_OPTIONS = {
-    "score": {"--seed", "--threads", "--out", "--from-manifest"},
-    "search": {"--seed", "--threads", "--out", "--from-manifest"},
-    "correlate": {"--seed", "--threads", "--out", "--from-manifest"},
-    "latency": {"--out", "--from-manifest"},
-    "pareto-plotdata": {"--out", "--from-manifest"},
+    "score": {"--seed", "--threads", "--out"},
+    "search": {"--seed", "--threads", "--out", "--log"},
+    "correlate": {"--seed", "--threads", "--out"},
+    "latency": {"--out"},
+    "pareto-plotdata": {"--out"},
+    "replay": {"--out", "--log"},
 }
 
 
@@ -755,7 +878,7 @@ class TestHelp:
         for cmd, offered in SHARED_OPTIONS.items():
             code, out, _ = run_cli([cmd, "--help"])
             assert code == 0
-            for option in ("--seed", "--threads", "--out", "--from-manifest"):
+            for option in ("--seed", "--threads", "--out", "--log", "--from-manifest"):
                 assert (option.encode() in out) == (option in offered), (cmd, option)
 
     def test_in_process_entry_point(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_genome
+from helpers import random_genome, save_records
 from zicobc.correlation import (
     BenchmarkRecord,
     CorrelationError,
@@ -16,7 +16,6 @@ from zicobc.correlation import (
     kendall_tau,
     load_records,
     run_correlation,
-    save_records,
     spearman_rho,
 )
 from zicobc.network import genome_to_dict

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_genome
+from helpers import random_genome, save_table
 from zicobc.latency import (
+    CSV_FIELDS,
     LatencyModelError,
     LatencyTable,
     LatencyTableError,
@@ -10,7 +11,6 @@ from zicobc.latency import (
     layer_key,
     layer_macs,
     load_table,
-    save_table,
 )
 from zicobc.network import LayerGraph, ParamLayer, compile_genome, count_macs
 from zicobc.tensor import Tensor
@@ -75,7 +75,43 @@ class TestEstimate:
         assert costs[0] < costs[1] < costs[2]
 
 
+# a data row after the header, and what the error names: every row must
+# give a key some layer can have, and every field parses as its type
+BAD_ROWS = {
+    "op_conv": ("conv,3,8,8,8,3,1,1,1.0", ":2: op: must be conv2d or dense, got 'conv'"),
+    "cin_negative": ("conv2d,-3,8,8,8,3,1,1,1.0", ":2: cin: must be >= 1, got -3"),
+    "cout_zero": ("conv2d,3,0,8,8,3,1,1,1.0", ":2: cout: must be >= 1, got 0"),
+    "hout_zero": ("conv2d,3,8,0,8,3,1,1,1.0", ":2: hout: must be >= 1"),
+    "k_zero": ("conv2d,3,8,8,8,0,1,1,1.0", ":2: k: must be >= 1"),
+    "groups_zero": ("conv2d,3,8,8,8,3,0,1,1.0", ":2: groups: must be >= 1"),
+    "stride_negative": ("conv2d,3,8,8,8,3,1,-2,1.0", ":2: stride: must be >= 1"),
+    "dense_k_3": ("dense,64,4,1,1,3,1,1,1", ":2: k: must be 1 on a dense row, got 3"),
+    "dense_groups_2": ("dense,64,4,1,1,1,2,1,1", ":2: groups: must be 1 on a dense row"),
+    "dense_stride_2": ("dense,64,4,1,1,1,1,2,1", ":2: stride: must be 1 on a dense row"),
+    "dense_hout_2": ("dense,64,4,2,1,1,1,1,1", ":2: hout: must be 1 on a dense row"),
+    "us_text": ("conv2d,3,8,8,8,3,1,1,x", ":2: us: must be a number, got 'x'"),
+    "us_nan": ("conv2d,3,8,8,8,3,1,1,nan", ":2: us: must be finite and >= 0, got nan"),
+    "cin_float": ("conv2d,3.5,8,8,8,3,1,1,1", ":2: cin: must be an integer, got '3.5'"),
+}
+
+
 class TestTableIO:
+    @pytest.mark.parametrize("case", BAD_ROWS)
+    def test_row_no_layer_can_have_names_line_and_field(self, case, tmp_path):
+        row, message = BAD_ROWS[case]
+        p = tmp_path / "t.csv"
+        p.write_text(f"{','.join(CSV_FIELDS)}\n{row}\n")
+        with pytest.raises(LatencyTableError) as info:
+            load_table(p)
+        assert str(info.value).startswith(f"{p}{message}"), str(info.value)
+
+    def test_cout_need_not_divide_by_groups(self, tmp_path):
+        # no layer has this key, but a table may still list it (perfbench's
+        # generated tables do), so the reader keeps it
+        p = tmp_path / "t.csv"
+        p.write_text(f"{','.join(CSV_FIELDS)}\nconv2d,64,16,8,8,3,64,1,1.5\n")
+        assert load_table(p).entries == {("conv2d", 64, 16, 8, 8, 3, 64, 1): 1.5}
+
     def test_well_formed_file(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text(
