@@ -27,7 +27,6 @@ from .network import (
     count_macs,
     count_params,
     crossover,
-    genome_from_json,
     genome_to_json,
     init_weights,
     layer_macs,
@@ -64,8 +63,7 @@ __all__ = [
     "load_table",
     "Genome", "GenomeError", "LayerGraph", "StageGene",
     "compile_genome", "count_macs", "count_params", "crossover",
-    "genome_from_json", "genome_to_json", "init_weights", "layer_macs",
-    "mutate",
+    "genome_to_json", "init_weights", "layer_macs", "mutate",
     "GradientStats", "ProxyError", "ProxyScore", "ScoreSettings",
     "depth_width_penalty", "gather_gradient_stats", "make_batches",
     "score_genome", "zico_bc_score", "zico_score",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -40,7 +39,8 @@ from .network import (
     GenomeError,
     compile_genome,
     genome_from_dict,
-    genome_from_json,
+    parse_json,
+    read_text,
 )
 from .proxy import (
     STAT_MODES,
@@ -277,10 +277,8 @@ def _sha256_file(path) -> str:
 def cmd_replay(args: argparse.Namespace) -> int:
     """Rerun the manifest's subcommand on its recorded options and the live
     --out and --log, so a subcommand without --log refuses it."""
-    try:
-        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ManifestError(f"cannot read manifest: {args.manifest}: {exc}") from None
+    manifest = parse_json(read_text(args.manifest, ManifestError), args.manifest,
+                          ManifestError)
     if not isinstance(manifest, dict):
         raise ManifestError("manifest must be a JSON object")
     for key, kind in (("subcommand", str), ("config", dict), ("input_digests", dict)):
@@ -378,10 +376,7 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _read_genome(path: str):
-    try:
-        return genome_from_json(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise GenomeError(f"{path}: {exc}") from None
+    return genome_from_dict(parse_json(read_text(path, GenomeError), path, GenomeError))
 
 
 def _latency_table(path: str | None, fallback_us_per_mac: float) -> LatencyTable:
@@ -485,10 +480,7 @@ PLOTDATA_HEADER = "depth,mean_width,score,latency"
 
 
 def cmd_pareto_plotdata(args: argparse.Namespace) -> int:
-    try:
-        entries = json.loads(Path(args.archive).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bytes that are not UTF-8, too
-        raise RecordError(f"{args.archive}: invalid JSON: {exc}") from None
+    entries = parse_json(read_text(args.archive, RecordError), args.archive, RecordError)
     if not isinstance(entries, list):
         raise RecordError(f"{args.archive}: archive must be a JSON array")
     lines = [PLOTDATA_HEADER]
@@ -503,8 +495,9 @@ def cmd_pareto_plotdata(args: argparse.Namespace) -> int:
         score_field = "zico_bc" if entry.get("zico_bc") is not None else "score"
         score, latency = entry.get(score_field), entry.get("latency_us")
         for field, value in ((score_field, score), ("latency_us", latency)):
+            # NaN fails the comparison, and so does an int too large for a float
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
+                    or not abs(value) <= sys.float_info.max:
                 raise RecordError(f"{where}: {field}: must be a finite number, "
                                   f"got {value!r}")
         depth = sum(s.repeats for s in stages)

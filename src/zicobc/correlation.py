@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .network import Genome, GenomeError, genome_from_dict
+from .network import Genome, GenomeError, genome_from_dict, parse_json, read_text
 from .proxy import ProxyError, ScoreSettings, parallel_map, score_genome
 
 
@@ -115,21 +115,16 @@ class BenchmarkRecord:
 
 def load_records(path) -> list[BenchmarkRecord]:
     """Read JSON-lines benchmark records: {id, genome, test_accuracy}."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise RecordError(f"{path}: {exc}") from None
     records = []
     seen = set()
+    # read_text turns "\r\n" and "\r" into "\n"; str.splitlines would also
+    # split at U+2028 and U+0085, which a JSON string may hold raw
+    lines = read_text(path, RecordError).split("\n")
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        obj = parse_json(line, f"{path}:{lineno}", RecordError)
         if not isinstance(obj, dict):
             raise RecordError(f"{path}:{lineno}: record must be a JSON object")
         try:

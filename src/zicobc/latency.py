@@ -10,10 +10,11 @@ measurement; it captures relative cost, not fused-kernel effects.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
-from .network import LayerGraph, ParamLayer, layer_macs
+from .network import LayerGraph, ParamLayer, layer_macs, read_text
 
 CSV_FIELDS = ("op", "cin", "cout", "hout", "wout", "k", "groups", "stride", "us")
 
@@ -102,9 +103,8 @@ def load_table(path, fallback_us_per_mac: float = 0.0) -> LatencyTable:
     non-finite latency are rejected naming the line and the field.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
+        rows = list(csv.reader(io.StringIO(read_text(path, LatencyTableError), newline="")))
+    except csv.Error as exc:  # a field over csv's size limit
         raise LatencyTableError(f"{path}: {exc}") from None
     if not rows:
         raise LatencyTableError(f"{path}: empty file, expected header "

@@ -32,6 +32,7 @@ EFFNET_GROUP_COUNT = 32
 INPUT_CHANNELS = 3
 MAX_STAGES = 8
 MAX_REPEATS = 12
+MAX_EXTENT = 2 ** 16  # channels, classes and each input extent; keeps prices finite
 CHANNEL_STEP = 8
 
 
@@ -82,11 +83,15 @@ class Genome:
         h, w = self.input_resolution
         numbers = [(f"stages[{i}].{name}", getattr(gene, name))
                    for i, gene in enumerate(self.stages)
-                   for name in ("repeats", "channels", "kernel", "stride")]
-        numbers += [("stem_channels", self.stem_channels), ("num_classes", self.num_classes),
-                    ("input_resolution[0]", h), ("input_resolution[1]", w),
-                    ("expansion", self.expansion)]
-        check_ints(numbers, GenomeError)
+                   for name in ("repeats", "kernel", "stride")]
+        extents = [(f"stages[{i}].channels", gene.channels)
+                   for i, gene in enumerate(self.stages)]
+        extents += [("stem_channels", self.stem_channels), ("num_classes", self.num_classes),
+                    ("input_resolution[0]", h), ("input_resolution[1]", w)]
+        check_ints(numbers + extents + [("expansion", self.expansion)], GenomeError)
+        for field, value in extents:
+            if value > MAX_EXTENT:
+                raise GenomeError(f"{field}: must be at most {MAX_EXTENT}, got {value}")
         if self.family not in FAMILIES:
             raise GenomeError(f"family: unknown family {self.family!r}")
         if not 1 <= len(self.stages) <= MAX_STAGES:
@@ -256,6 +261,26 @@ def genome_to_json(genome: Genome) -> str:
     return json.dumps(genome_to_dict(genome), sort_keys=True, separators=(",", ":"))
 
 
+def read_text(path, error: type[ValueError]) -> str:
+    """The text of an input file, read as UTF-8 with universal newlines;
+    bytes that are not UTF-8 raise `error` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+def parse_json(text: str, where: str, error: type[ValueError]):
+    """`json.loads(text)`; text that does not decode, an integer of more than
+    4300 digits or nesting too deep for the parser included, raises `error`
+    naming `where`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON: {exc}") from None
+
+
 def _json_object(value, path: str, schema: type) -> dict:
     """`value`, checked to be a JSON object with a key for every field of the
     dataclass `schema` that has no default, and no other key; `path` names
@@ -290,14 +315,6 @@ def genome_from_dict(data) -> Genome:
                    for i, s in enumerate(_json_array(data["stages"], "stages")))
     resolution = tuple(_json_array(data["input_resolution"], "input_resolution"))
     return Genome(**{**data, "stages": stages, "input_resolution": resolution})
-
-
-def genome_from_json(text: str) -> Genome:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GenomeError(f"invalid genome JSON: {exc}") from None
-    return genome_from_dict(data)
 
 
 # -- compilation ---------------------------------------------------------------

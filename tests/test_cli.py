@@ -15,8 +15,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_genome, save_table
-from zicobc.network import genome_to_dict, genome_to_json
-from zicobc.latency import LatencyTable
+from zicobc.correlation import RecordError, load_records
+from zicobc.network import compile_genome, genome_to_dict, genome_to_json
+from zicobc.latency import CSV_FIELDS, LatencyTable, layer_key
 from zicobc.cli import main
 from zicobc.proxy import blas_core
 
@@ -236,6 +237,8 @@ BAD_GENOMES = {
     "{resolution_number}": ({}, {"input_resolution": 8}),
     "{unknown_genome_key}": ({}, {"expanson": 2}),
     "{unknown_stage_key}": ({"strde": 1}, {}),
+    "{channels_huge}": ({"channels": 8 * 10 ** 200}, {}),
+    "{num_classes_huge}": ({}, {"num_classes": 10 ** 300}),
 }
 
 # (stage-0 fields, entry fields) overwritten in a one-entry archive of the
@@ -255,6 +258,22 @@ BAD_ARCHIVES = {
     "{archive_entry_number}": lambda entry: 5,
     "{archive_stages_text}": lambda entry: {
         **entry, "genome": {**entry["genome"], "stages": "ab"}},
+    "{archive_huge_latency}": ({}, {"latency_us": 10 ** 400}),
+    "{archive_huge_score}": ({}, {"zico_bc": 10 ** 400}),
+}
+
+# files whose text does not decode as JSON, by placeholder: a function of
+# the "{genome}" file's bytes and the first two lines of a records file of
+# it gives the file's bytes. Python refuses an integer of more than 4300
+# digits, so json.dumps cannot write one and it is spliced in as text.
+DIGITS_5000 = b"9" * 5000
+NOT_JSON = {
+    "{genome_bad_json}": lambda genome, lines: b"{nope",
+    "{genome_deep}": lambda genome, lines: b"[" * 100000,
+    "{genome_big_int}": lambda genome, lines: genome.replace(
+        b'"family":"resnet_like"', b'"family":' + DIGITS_5000),
+    "{records_big_int}": lambda genome, lines: lines[0] + lines[1].replace(
+        b'"test_accuracy": 51.0', b'"test_accuracy": ' + DIGITS_5000),
 }
 
 # the second line of a records file of the "{genome}" file to give the named
@@ -325,12 +344,28 @@ BAD_INPUT_CASES = [
      b"entry 0: must be a JSON object, got 5"),
     (["pareto-plotdata", "{archive_stages_text}"],
      b'entry 0: stages: must be a JSON array, got "ab"'),
+    (["pareto-plotdata", "{archive_huge_latency}"],
+     b"entry 0: latency_us: must be a finite number, got 1000"),
+    (["pareto-plotdata", "{archive_huge_score}"],
+     b"entry 0: zico_bc: must be a finite number, got 1000"),
+    (["latency", "{channels_huge}"], b"stages[0].channels: must be at most 65536, got 8000"),
+    (["latency", "{num_classes_huge}"], b"num_classes: must be at most 65536"),
+    (["score", "{genome}", "--resolution", "65544x8", *FAST],
+     b"input_resolution[0]: must be at most 65536"),
+    ([*SEARCH_FAST, "--channels", "16,65544"], b"stages[0].channels: must be at most"),
+    ([*SEARCH_FAST, "--stem-channels", "65544"], b"stem_channels: must be at most"),
+    ([*SEARCH_FAST, "--resolution", "8x65544"], b"input_resolution[1]: must be at most"),
+    (["latency", "{genome_bad_json}"], b"genome_bad_json: invalid JSON: Expecting"),
+    (["latency", "{genome_deep}"], b"genome_deep: invalid JSON: maximum recursion depth"),
+    (["latency", "{genome_big_int}"], b"genome_big_int: invalid JSON: Exceeds the limit"),
+    (["correlate", "--records", "{records_big_int}", *FAST],
+     b"records_big_int:2: invalid JSON: Exceeds the limit"),
     *((["correlate", "--records", name, *FAST], field)
       for name, (_, field) in BAD_RECORDS.items()),
     (["score", "{genome_not_utf8}", *FAST], b"genome_not_utf8: 'utf-8' codec"),
     (["correlate", "--records", "{records_not_utf8}", *FAST],
      b"records_not_utf8: 'utf-8' codec"),
-    (["pareto-plotdata", "{archive_not_utf8}"], b"archive_not_utf8: invalid JSON: 'utf-8'"),
+    (["pareto-plotdata", "{archive_not_utf8}"], b"archive_not_utf8: 'utf-8' codec"),
     (["latency", "{genome}", "--table", "{table_not_utf8}"], b"table_not_utf8: 'utf-8' codec"),
 ]
 
@@ -402,6 +437,12 @@ class TestValidation:
             bad = tmp_path / name.strip("{}")
             bad.write_bytes(b"\xff\xfe{}")
             files[name] = str(bad)
+        lines = records.read_bytes().splitlines(keepends=True)
+        for name, text in NOT_JSON.items():
+            bad = tmp_path / name.strip("{}")
+            bad.write_bytes(text(path.read_bytes(), lines))
+            assert bad.read_bytes().count(DIGITS_5000) == ("big_int" in name), name
+            files[name] = str(bad)
         for args, field in BAD_INPUT_CASES:
             args = [files.get(a, a) for a in args]
             code, out, err = run_cli(args)
@@ -428,6 +469,13 @@ class TestValidation:
             assert stdout == b"", name
             assert field in err, (name, err.decode())
             assert b"Traceback" not in err, name
+
+    def test_missing_manifest_exits_2_naming_it(self, tmp_path):
+        code, stdout, err = run_cli(["replay", str(tmp_path / "none.manifest.json")])
+        assert code == 2, err.decode()
+        assert stdout == b""
+        assert b"No such file or directory" in err and b"none.manifest.json" in err
+        assert b"Traceback" not in err
 
 
 # a live command line given after "replay {manifest}" of a score run, and
@@ -493,40 +541,133 @@ class TestReplayRefusals:
         assert b"Traceback" not in err
 
 
-# what one mutation may put into a latency manifest: values of the wrong
-# JSON type, numbers out of range, paths and option-like strings, and keys
-# the manifest does not have. No subcommand that scores is among them, since
-# a manifest that lost its config would run a default search for hours.
-ODD_VALUES = st.sampled_from([
-    None, True, False, 0, -1, 10 ** 400, 1e308, -1e308, math.nan, math.inf, -math.inf,
-    "", "x", "-g.json", "--beta", "/", "latency", "pareto-plotdata", "replay",
-    [], [1], {}, {"a": 1}])
-ODD_KEYS = st.sampled_from(["foo", "subcommand", "config", "genome", "table",
-                            "fallback_us_per_mac", "seed", "threads", "log"])
+# One mutation of a JSON input file is one of the edits below, or one of
+# the odd numbers written over a number in it. A value set or added is
+# drawn from the odd numbers and the values of other JSON types. No subcommand that
+# scores is among them, since a manifest that lost its config would run a
+# default search for hours. 2**1024 is the least integer too large for a
+# float, and BIG stands for an integer of 5000 digits, which json.dumps
+# cannot write.
+BIG = "\0big"
+EDITS = ["drop", "add", "set", "truncate", "not_utf8"]
+ODD_NUMBERS = [math.nan, math.inf, -math.inf, 1e308, 2 ** 1024, 10 ** 400, 8 * 10 ** 200,
+               BIG, -1, True]
+WRONG_TYPES = [None, "", "x", "-g.json", "--beta", "/", "latency", "pareto-plotdata",
+               "replay", [], [1], {}, {"a": 1}]
+MANIFEST_KEYS = st.sampled_from(["foo", "subcommand", "config", "genome", "table",
+                                 "fallback_us_per_mac", "seed", "threads", "log"])
+# every key of a genome, an archive entry and a record, and one of none
+RECORD_KEYS = st.sampled_from([
+    "foo", "family", "stages", "repeats", "channels", "kernel", "conv_mode", "stride",
+    "stem_channels", "num_classes", "input_resolution", "expansion", "genome",
+    "zico_bc", "score", "latency_us", "id", "test_accuracy"])
+# what one mutation may put into a latency table's cell
+ODD_CELLS = st.sampled_from([
+    "", "x", "nan", "inf", "-inf", "1e308", "-1", "0", "3.5", "true", "9" * 5000,
+    "1" + "0" * 400, '"', "conv", "dense", " 8"])
 
 
-def mutated_manifest(data, manifest: dict) -> bytes:
-    """The manifest's bytes after one drawn mutation: a key dropped, added
-    or given another value anywhere in it, or the text truncated, or one
-    byte made 0xff so the file is no longer UTF-8."""
-    text = json.dumps(manifest).encode()
-    kind = data.draw(st.sampled_from(["drop", "add", "set", "truncate", "not_utf8"]))
-    if kind == "truncate":
-        return text[:data.draw(st.integers(0, len(text) - 1))]
-    if kind == "not_utf8":
-        at = data.draw(st.integers(0, len(text) - 1))
-        return text[:at] + b"\xff" + text[at + 1:]
-    node = manifest = copy.deepcopy(manifest)
-    while True:
-        key = data.draw(st.sampled_from(sorted(node)))
-        if not (isinstance(node[key], dict) and node[key] and data.draw(st.booleans())):
-            break
-        node = node[key]
-    if kind == "drop":
-        del node[key]
+def spoiled(data, text: bytes, edit: str) -> bytes:
+    """`text` truncated, or with one byte made 0xff so it is no longer UTF-8."""
+    at = data.draw(st.integers(0, len(text) - 1))
+    if edit == "truncate":
+        return text[:at]
+    return text[:at] + b"\xff" + text[at + 1:]
+
+
+def node_paths(node, path=()):
+    """The path (a tuple of keys and indices) of every node inside `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+def lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutated_json(data, doc, keys) -> bytes:
+    """The JSON bytes of `doc` after one drawn mutation: a node dropped, a
+    key (drawn from `keys`) or an item added, a node given an odd value, a
+    number made odd, or the text spoiled."""
+    change = data.draw(st.sampled_from(EDITS + ODD_NUMBERS))
+    if change in ("truncate", "not_utf8"):
+        return spoiled(data, json.dumps(doc).encode(), change)
+    doc = copy.deepcopy(doc)
+    paths = list(node_paths(doc))
+    if change == "add":
+        paths = [()] + [p for p in paths if isinstance(lookup(doc, p), (dict, list))]
+    elif change not in ("drop", "set"):
+        paths = [p for p in paths if isinstance(lookup(doc, p), (int, float))]
+    path = data.draw(st.sampled_from(paths))
+    node = lookup(doc, path[:-1]) if path else doc
+    if change == "drop":
+        del node[path[-1]]
+    elif change == "add":
+        value = data.draw(st.sampled_from(WRONG_TYPES + ODD_NUMBERS))
+        target = lookup(doc, path)
+        if isinstance(target, list):
+            target.append(value)
+        else:
+            target[data.draw(keys)] = value
     else:
-        node[data.draw(ODD_KEYS) if kind == "add" else key] = data.draw(ODD_VALUES)
-    return json.dumps(manifest).encode()
+        node[path[-1]] = data.draw(st.sampled_from(WRONG_TYPES + ODD_NUMBERS)) \
+            if change == "set" else change
+    return json.dumps(doc).encode().replace(json.dumps(BIG).encode(), DIGITS_5000)
+
+
+def mutated_records(data, records: list[dict]) -> bytes:
+    """A records file of `records` with one of them mutated as by
+    `mutated_json`, dropped or repeated, each line ended by a drawn line end."""
+    lines = [json.dumps(record).encode() for record in records]
+    at = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(st.sampled_from(["mutate", "drop", "repeat"]))
+    if kind == "mutate":
+        lines[at] = mutated_json(data, records[at], RECORD_KEYS)
+    elif kind == "drop":
+        del lines[at]
+    else:
+        lines.insert(at, lines[at])
+    end = data.draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return b"".join(line + end for line in lines)
+
+
+def mutated_table(data, rows: list[list[str]]) -> bytes:
+    """The CSV bytes of `rows` after one drawn mutation: a cell given an odd
+    value, dropped or added, a row dropped or repeated, or the text spoiled."""
+    kind = data.draw(st.sampled_from(["set", "drop_cell", "add_cell", "drop_row",
+                                      "repeat_row", "truncate", "not_utf8"]))
+    rows = copy.deepcopy(rows)
+    at = data.draw(st.integers(0, len(rows) - 1))
+    col = data.draw(st.integers(0, len(rows[at]) - 1))
+    if kind == "set":
+        rows[at][col] = data.draw(ODD_CELLS)
+    elif kind == "drop_cell":
+        del rows[at][col]
+    elif kind == "add_cell":
+        rows[at].insert(col, data.draw(ODD_CELLS))
+    elif kind == "drop_row":
+        del rows[at]
+    elif kind == "repeat_row":
+        rows.insert(at, rows[at])
+    text = "".join(",".join(row) + "\n" for row in rows).encode()
+    return spoiled(data, text, kind) if kind in ("truncate", "not_utf8") else text
+
+
+def run_main(argv) -> tuple[int, str]:
+    """`main(argv)` in process: its exit code and its stderr."""
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing a value
+            code = exc.code
+    event(f"exit {code}")
+    return code, stderr.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -548,16 +689,78 @@ class TestReplayProperty:
         # exit 3 is a latency estimate with no table entry and no fallback
         work, manifest = latency_manifest
         path = work / "mutated.manifest.json"
-        path.write_bytes(mutated_manifest(data, manifest))
-        stderr = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-            try:
-                code = main(["replay", str(path)])
-            except SystemExit as exc:  # argparse refusing a replayed value
-                code = exc.code
-        event(f"exit {code}")
-        assert code in (0, 2, 3), stderr.getvalue()
-        assert "Traceback" not in stderr.getvalue()
+        path.write_bytes(mutated_json(data, manifest, MANIFEST_KEYS))
+        code, err = run_main(["replay", str(path)])
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A work directory holding a valid genome file, and a valid genome,
+    archive, list of records and latency table (as CSV rows) to mutate."""
+    work = tmp_path_factory.mktemp("readers")
+    rng = np.random.default_rng(3)
+    genome = random_genome(rng)
+    (work / "g.json").write_text(genome_to_json(genome))
+    entries = {layer_key(layer): 2.5 for layer in compile_genome(genome).layers}
+    return work, {
+        "genome": genome_to_dict(genome),
+        "archive": [{"genome": genome_to_dict(genome), "zico": 9.5, "penalty": 1.5,
+                     "zico_bc": 8.0, "score": 8.0, "latency_us": 123.5}],
+        "records": [{"id": f"r{i}", "genome": genome_to_dict(random_genome(rng)),
+                     "test_accuracy": 50.0 + i} for i in range(3)],
+        "table": [list(CSV_FIELDS)] + [[*map(str, key), repr(us)]
+                                       for key, us in sorted(entries.items())],
+    }
+
+
+class TestReaderProperties:
+    """Each input format, mutated once, is read to exit 0 or to exit 2 with
+    an error message, and no exception escapes; a message about an archive
+    or a table starts with its path."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_mutated_genome_exits_0_or_2(self, valid_inputs, data):
+        work, valid = valid_inputs
+        path = work / "mutated.json"
+        path.write_bytes(mutated_json(data, valid["genome"], RECORD_KEYS))
+        code, err = run_main(["latency", str(path)])
+        assert code == 0 or code == 2 and err.startswith("error: "), err
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_mutated_archive_exits_0_or_2(self, valid_inputs, data):
+        work, valid = valid_inputs
+        path = work / "mutated_archive.json"
+        path.write_bytes(mutated_json(data, valid["archive"], RECORD_KEYS))
+        code, err = run_main(["pareto-plotdata", str(path)])
+        assert code == 0 or code == 2 and err.startswith(f"error: {path}"), err
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_mutated_table_exits_0_or_2(self, valid_inputs, data):
+        work, valid = valid_inputs
+        path = work / "mutated.csv"
+        path.write_bytes(mutated_table(data, valid["table"]))
+        code, err = run_main(["latency", str(work / "g.json"), "--table", str(path)])
+        assert code == 0 or code == 2 and err.startswith(f"error: {path}"), err
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_mutated_records_load_or_name_the_file(self, valid_inputs, data):
+        # in process and never scored: a mutated genome may be legal but huge
+        work, valid = valid_inputs
+        path = work / "mutated.jsonl"
+        path.write_bytes(mutated_records(data, valid["records"]))
+        try:
+            records = load_records(path)
+        except RecordError as exc:
+            event("RecordError")
+            assert str(exc).startswith(str(path)), str(exc)
+        else:
+            event(f"{len(records)} records")
 
 
 class TestSearch:

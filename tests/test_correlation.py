@@ -241,6 +241,21 @@ class TestRecordIO:
         with pytest.raises(RecordError, match="outside"):
             load_records(p)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_any_line_end_and_raw_line_separators_in_ids(self, newline, tmp_path):
+        # universal newlines end a line; U+2028 and U+0085, which a JSON
+        # string may hold raw and str.splitlines splits at, do not
+        rng = np.random.default_rng(8)
+        records = [BenchmarkRecord(id=f"r{i}{sep}x", genome=random_genome(rng),
+                                   test_accuracy=50.0 + i)
+                   for i, sep in enumerate(["\u2028", "\u0085", ""])]
+        p = tmp_path / "bench.jsonl"
+        p.write_bytes("".join(
+            json.dumps({"id": r.id, "genome": genome_to_dict(r.genome),
+                        "test_accuracy": r.test_accuracy}, ensure_ascii=False) + newline
+            for r in records).encode())
+        assert load_records(p) == records
+
     def test_id_must_be_a_json_string(self, tmp_path):
         # 7 and "7" would both read as the id "7"; a number is rejected
         genome = genome_to_dict(make_records(1, seed=7)[0][0].genome)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,12 @@ class TestTableIO:
         p.write_text("op,cin,cout,hout,wout,k,groups,stride,us\n"
                      "conv2d,three,8,8,8,3,1,1,1.0\n")
         with pytest.raises(LatencyTableError, match=":2"):
+            load_table(p)
+
+    def test_field_over_the_csv_limit_names_the_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(f"{','.join(CSV_FIELDS)}\nconv2d,{'1' * 200000},8,8,8,3,1,1,1\n")
+        with pytest.raises(LatencyTableError, match=f"^{re.escape(str(p))}: field larger"):
             load_table(p)
 
     def test_round_trip(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import blas_threads_set_to
-from zicobc.network import CONV_MODES, EXPANSION_CHOICES, FAMILIES, genome_from_json
+from zicobc.network import CONV_MODES, EXPANSION_CHOICES, FAMILIES, genome_from_dict
 from zicobc.proxy import blas_threads
 from zicobc.search import (
     EvaluationFailure,
@@ -313,7 +313,7 @@ class TestGenomeSpace:
             g2 = space.mutate(g, rng)
             g3 = space.crossover(g, g2, rng)
             for genome in (g, g2, g3):
-                assert genome_from_json(space.serialize(genome)) == genome
+                assert genome_from_dict(json.loads(space.serialize(genome))) == genome
 
     def test_space_validation(self):
         with pytest.raises(SearchConfigError, match="divisible"):
