@@ -32,7 +32,7 @@ EFFNET_GROUP_COUNT = 32
 INPUT_CHANNELS = 3
 MAX_STAGES = 8
 MAX_REPEATS = 12
-MAX_EXTENT = 2 ** 16  # channels, classes and each input extent; keeps prices finite
+MAX_EXTENT = 2 ** 16  # channels, classes and each input extent; keeps MACs in float range
 CHANNEL_STEP = 8
 
 

@@ -547,11 +547,12 @@ class TestReplayRefusals:
 # scores is among them, since a manifest that lost its config would run a
 # default search for hours. 2**1024 is the least integer too large for a
 # float, and BIG stands for an integer of 5000 digits, which json.dumps
-# cannot write.
+# cannot write. 0 written over a manifest's fallback_us_per_mac is what
+# reaches replay's exit 3.
 BIG = "\0big"
 EDITS = ["drop", "add", "set", "truncate", "not_utf8"]
-ODD_NUMBERS = [math.nan, math.inf, -math.inf, 1e308, 2 ** 1024, 10 ** 400, 8 * 10 ** 200,
-               BIG, -1, True]
+ODD_NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 2 ** 1024, 10 ** 400,
+               8 * 10 ** 200, BIG, 0, -1, True, False]
 WRONG_TYPES = [None, "", "x", "-g.json", "--beta", "/", "latency", "pareto-plotdata",
                "replay", [], [1], {}, {"a": 1}]
 MANIFEST_KEYS = st.sampled_from(["foo", "subcommand", "config", "genome", "table",
