@@ -27,7 +27,8 @@ class LatencyTableError(ValueError):
 
 
 class LatencyModelError(ValueError):
-    """Estimation impossible: missing entries with no usable fallback."""
+    """Estimation impossible: a missing entry with no usable fallback, or a
+    total too large for a float."""
 
 
 @dataclass
@@ -71,7 +72,11 @@ def layer_key(layer: ParamLayer) -> LatencyKey:
 
 
 def estimate(graph: LayerGraph, table: LatencyTable) -> LatencyEstimate:
-    """Additive per-layer latency: table hits exactly, misses via fallback."""
+    """Additive per-layer latency: table hits exactly, misses via fallback.
+
+    Prices are finite, but their sum or a fallback product can overflow:
+    that raises, naming the layer where the total stops being finite.
+    """
     total = 0.0
     per_layer = []
     misses = 0
@@ -89,6 +94,10 @@ def estimate(graph: LayerGraph, table: LatencyTable) -> LatencyEstimate:
         else:
             source = "table"
         total += us
+        if not math.isfinite(total):
+            raise LatencyModelError(
+                f"latency total overflows at layer {layer.index} {key}: "
+                f"{source} price {us} us")
         per_layer.append({"layer": layer.index, "us": us, "source": source})
     return LatencyEstimate(total_us=total, per_layer=per_layer, misses=misses)
 

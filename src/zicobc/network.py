@@ -451,12 +451,6 @@ def _emit_effnet_block(b: _GraphBuilder, c_in: int, gene: StageGene, stride: int
 
 # -- accounting ----------------------------------------------------------------
 
-def count_params(graph: LayerGraph) -> int:
-    """Total element count over every parameter tensor (weights and biases)."""
-    return sum(math.prod(shape) for layer in graph.layers
-               for shape in _param_shapes(layer))
-
-
 def layer_macs(layer: ParamLayer) -> int:
     """Multiply-accumulates of one layer for one sample."""
     c, h, w = layer.out_shape

@@ -223,30 +223,19 @@ def _layer_gradients(graph: LayerGraph, tape: Tape) -> list[np.ndarray]:
     return grads
 
 
-def zico_score(stats: GradientStats) -> float:
-    """Sum over layers of log(sum of per-parameter mean/std gradient ratios).
+def _layer_terms(stats: GradientStats) -> list[float]:
+    """Per layer, log(sum of per-parameter mean/std gradient ratios).
 
     A small epsilon keeps dead parameters (zero variance) finite, and a
     layer whose inner sum is not above epsilon contributes log(epsilon),
     so degenerate candidates rank last instead of raising.
     """
-    if not stats.layers:
-        raise ProxyError("cannot score an empty graph")
-    return math.fsum(_layer_terms(stats))
-
-
-def _layer_terms(stats: GradientStats) -> list[float]:
     terms = []
     for layer in stats.layers:
         ratios = layer.mean_abs_grad / (np.sqrt(layer.var_grad) + GRAD_EPS)
         inner = float(np.sum(ratios))
         terms.append(math.log(inner) if inner > GRAD_EPS else math.log(GRAD_EPS))
     return terms
-
-
-def depth_width_penalty(graph: LayerGraph) -> float:
-    """Sum over parameterized layers of log(H * W / sqrt(C)) of their outputs."""
-    return math.fsum(_penalty_terms(graph))
 
 
 def _penalty_terms(graph: LayerGraph) -> list[float]:

@@ -238,8 +238,8 @@ class _Evaluator:
         else:
             score = float(proxy)
             detail = (None, None, None)
-        if math.isnan(score) or math.isnan(latency):
-            raise EvaluationFailure(key, ValueError("NaN objective"))
+        if not (math.isfinite(score) and math.isfinite(latency)):
+            raise EvaluationFailure(key, ValueError("non-finite objective"))
         return score, latency, detail
 
     def __call__(self, genomes: list) -> list[Individual]:

@@ -1,5 +1,6 @@
-"""Shared test utilities: random genome generation, brute-force oracles and
-writers of the file formats the program reads."""
+"""Shared test utilities: random genome generation, brute-force oracles, the
+two parts of the score and the parameter count taken alone, and writers of
+the file formats the program reads."""
 
 from __future__ import annotations
 
@@ -7,13 +8,14 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 from typing import Iterable
 
 import numpy as np
 
 from zicobc.latency import CSV_FIELDS, LatencyTable
-from zicobc.network import Genome, LayerGraph, StageGene, genome_to_dict
-from zicobc.proxy import _openblas
+from zicobc.network import Genome, LayerGraph, StageGene, _param_shapes, genome_to_dict
+from zicobc.proxy import GradientStats, ProxyError, _layer_terms, _openblas, _penalty_terms
 from zicobc.tensor import Tape, Tensor, _col2im, _im2col
 
 
@@ -70,6 +72,24 @@ def tensor_digest(tensors: Iterable[Tensor]) -> str:
 def parameter_hash(graph: LayerGraph) -> str:
     """Digest of every parameter tensor; unchanged across scoring runs."""
     return tensor_digest(parameter_tensors(graph))
+
+
+def zico_score(stats: GradientStats) -> float:
+    """The uncorrected score alone: `zico_bc_score(...).zico` without a graph."""
+    if not stats.layers:
+        raise ProxyError("cannot score an empty graph")
+    return math.fsum(_layer_terms(stats))
+
+
+def depth_width_penalty(graph: LayerGraph) -> float:
+    """The penalty alone: `zico_bc_score(...).penalty` without statistics."""
+    return math.fsum(_penalty_terms(graph))
+
+
+def count_params(graph: LayerGraph) -> int:
+    """Total element count over every parameter tensor of a plan or a graph."""
+    return sum(math.prod(shape) for layer in graph.layers
+               for shape in _param_shapes(layer))
 
 
 def brute_force_param_count(graph: LayerGraph) -> int:

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import brute_force_mac_count, parameter_hash, random_genome
+from helpers import brute_force_mac_count, parameter_hash, random_genome, zico_score
 from test_correlation import pearson_oracle, rank_count_oracle, tau_pair_oracle
 from test_tensor import assert_close_to_fd, finite_diff_grad, probe_to_scalar
 
@@ -46,7 +46,6 @@ from zicobc.proxy import (
     make_batches,
     score_genome,
     zico_bc_score,
-    zico_score,
 )
 from zicobc.search import (
     GenomeSpace,

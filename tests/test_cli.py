@@ -869,6 +869,16 @@ class TestSearch:
         assert b"evaluator failed on genome" in err
         assert b'"family"' in err  # offending genome serialized in the message
 
+    def test_overflowing_latency_exits_3_with_genome(self, tmp_path):
+        # a finite fallback rate whose price of a layer is not a finite float
+        out = tmp_path / "a.json"
+        code, _, err = run_cli([*SEARCH_FAST, "--fallback-us-per-mac", "1e308",
+                                "--out", str(out)])
+        assert code == 3
+        assert b"evaluator failed on genome" in err and b"layer" in err
+        assert b"Traceback" not in err
+        assert not out.exists()
+
 
 class TestLatency:
     def test_table_hit_totals(self, genome_file, tmp_path):
@@ -938,6 +948,13 @@ class TestLatency:
         code, _, err = run_cli(["latency", str(path), "--fallback-us-per-mac", "0"])
         assert code == 3
         assert b"no table entry" in err
+
+    def test_overflowing_fallback_exits_3_naming_layer(self, genome_file):
+        path, _ = genome_file
+        code, out, err = run_cli(["latency", str(path), "--fallback-us-per-mac", "1e308"])
+        assert code == 3
+        assert b"layer 1 " in err and b"Traceback" not in err
+        assert b"Infinity" not in out
 
 
 class TestCorrelate:

@@ -56,6 +56,17 @@ class TestEstimate:
         with pytest.raises(LatencyModelError, match="no table entry"):
             estimate(graph, LatencyTable())
 
+    def test_total_that_overflows_names_the_layer(self):
+        # two finite table entries whose sum is not a finite float
+        graph = compile_genome(random_genome(np.random.default_rng(3), max_stages=1))
+        first, second = graph.layers[:2]
+        table = LatencyTable(entries={layer_key(first): 1e308, layer_key(second): 1e308})
+        with pytest.raises(LatencyModelError, match=f"layer {second.index} "):
+            estimate(graph, table)
+        # a finite rate whose product with a layer's MACs is not
+        with pytest.raises(LatencyModelError, match=f"layer {first.index} "):
+            estimate(graph, LatencyTable(fallback_us_per_mac=1e308))
+
     def test_additive_over_concatenation(self):
         rng = np.random.default_rng(2)
         table = LatencyTable(fallback_us_per_mac=0.1)

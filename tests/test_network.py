@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from helpers import (
     brute_force_mac_count,
     brute_force_param_count,
+    count_params,
+    depth_width_penalty,
     parameter_hash,
     random_genome,
 )
@@ -23,14 +25,12 @@ from zicobc.network import (
     StageGene,
     compile_genome,
     count_macs,
-    count_params,
     crossover,
     genome_from_dict,
     genome_to_json,
     init_weights,
     mutate,
 )
-from zicobc.proxy import depth_width_penalty
 from zicobc.search import GenomeSpace
 from zicobc.tensor import Tape, seeded_fill
 

@@ -6,7 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from helpers import blas_threads_set_to, parameter_hash, random_genome
+from helpers import (
+    blas_threads_set_to,
+    depth_width_penalty,
+    parameter_hash,
+    random_genome,
+    zico_score,
+)
 from zicobc import proxy
 from zicobc.network import (
     Genome,
@@ -25,13 +31,11 @@ from zicobc.proxy import (
     ProxyError,
     ScoreSettings,
     blas_threads,
-    depth_width_penalty,
     gather_gradient_stats,
     make_batches,
     parallel_map,
     score_genome,
     zico_bc_score,
-    zico_score,
 )
 from zicobc.tensor import Tape, Tensor
 

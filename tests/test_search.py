@@ -225,6 +225,17 @@ class TestRunSearch:
             run_search(ToySpace(), config, bad_proxy, toy_latency)
         assert err.value.genome_json  # offending genome serialized in the error
 
+    @pytest.mark.parametrize("objective", ["proxy", "latency"])
+    def test_infinite_objective_fails_naming_genome(self, objective):
+        def infinite(x):
+            return math.inf
+
+        fns = {"proxy": toy_proxy, "latency": toy_latency, objective: infinite}
+        config = SearchConfig(population=4, generations=1, seed=0)
+        with pytest.raises(EvaluationFailure, match="non-finite objective") as err:
+            run_search(ToySpace(), config, fns["proxy"], fns["latency"])
+        assert err.value.genome_json
+
     @pytest.mark.skipif(blas_threads() is None,
                         reason="numpy's BLAS is not the bundled OpenBLAS")
     def test_evaluator_failure_restores_blas_threads(self):
