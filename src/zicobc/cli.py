@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -129,11 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-child mutation probability (default: %(default)s)")
     p_search.add_argument("--crossover-rate", type=float, default=0.5,
                           help="per-pair crossover probability (default: %(default)s)")
-    p_search.add_argument("--latency-table", default=None,
-                          help="CSV latency table path (default: none)")
-    p_search.add_argument("--fallback-us-per-mac", type=float, default=0.001,
-                          help="microseconds per MAC for missing table entries "
-                               "(default: %(default)s)")
+    _add_latency_flags(p_search, "--latency-table")
     p_search.add_argument("--latency-ceiling-us", type=float, default=None,
                           help="hard feasibility ceiling in microseconds "
                                "(default: none)")
@@ -154,11 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat = sub.add_parser(
         "latency", help="estimate one genome's latency from a lookup table")
     p_lat.add_argument("genome", help="genome JSON file")
-    p_lat.add_argument("--table", default=None,
-                       help="CSV latency table path (default: none)")
-    p_lat.add_argument("--fallback-us-per-mac", type=float, default=0.001,
-                       help="microseconds per MAC for missing table entries "
-                            "(default: %(default)s)")
+    _add_latency_flags(p_lat, "--table")
     _add_common_flags(p_lat)
 
     p_plot = sub.add_parser(
@@ -195,6 +188,14 @@ def _add_proxy_flags(p: argparse.ArgumentParser) -> None:
                         "search uses 32x32)")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed; falls back to $ZICO_BC_SEED, then 0")
+
+
+def _add_latency_flags(p: argparse.ArgumentParser, table_flag: str) -> None:
+    p.add_argument(table_flag, default=None,
+                   help="CSV latency table path (default: none)")
+    p.add_argument("--fallback-us-per-mac", type=float, default=0.001,
+                   help="microseconds per MAC for missing table entries "
+                        "(default: %(default)s)")
 
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
@@ -403,7 +404,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     genome = _read_genome(args.genome)
     settings = _score_settings(args)
     score = score_genome(genome, settings, threads=args.threads)
-    _emit(json.dumps(score.to_json_dict(), indent=2) + "\n", args, [args.genome])
+    _emit(json.dumps(asdict(score), indent=2) + "\n", args, [args.genome])
     print(f"zico={score.zico:.6f} penalty={score.penalty:.6f} "
           f"zico_bc={score.zico_bc:.6f} (beta={score.beta})", file=sys.stderr)
     return EXIT_OK
@@ -470,7 +471,7 @@ def cmd_latency(args: argparse.Namespace) -> int:
     graph = compile_genome(genome)
     result = estimate(graph, table)
     inputs = [args.genome] + ([args.table] if args.table else [])
-    _emit(json.dumps(result.to_json_dict(), indent=2) + "\n", args, inputs)
+    _emit(json.dumps(asdict(result), indent=2) + "\n", args, inputs)
     print(f"total {result.total_us:.3f} us over {len(graph.layers)} layers "
           f"({result.misses} fallback)", file=sys.stderr)
     return EXIT_OK

@@ -35,6 +35,17 @@ def _as_vector(name: str, values) -> np.ndarray:
     return arr
 
 
+def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as 1-d float vectors of one length, at least 2."""
+    xv = _as_vector("x", x)
+    yv = _as_vector("y", y)
+    if xv.size != yv.size:
+        raise CorrelationError(f"length mismatch: {xv.size} vs {yv.size}")
+    if xv.size < 2:
+        raise CorrelationError(f"need at least 2 observations, got {xv.size}")
+    return xv, yv
+
+
 def kendall_tau(x, y) -> float:
     """Tie-corrected (tau-b) Kendall rank correlation in [-1, 1].
 
@@ -42,13 +53,8 @@ def kendall_tau(x, y) -> float:
     ties on either variable shrink the denominator. Raises when either
     input is constant (the denominator would be zero).
     """
-    xv = _as_vector("x", x)
-    yv = _as_vector("y", y)
+    xv, yv = _paired(x, y)
     n = xv.size
-    if n != yv.size:
-        raise CorrelationError(f"length mismatch: {n} vs {yv.size}")
-    if n < 2:
-        raise CorrelationError(f"need at least 2 observations, got {n}")
     concordant = 0
     discordant = 0
     for i in range(n - 1):
@@ -87,12 +93,7 @@ def average_ranks(v) -> np.ndarray:
 
 def spearman_rho(x, y) -> float:
     """Spearman rank correlation: Pearson over average-tied ranks."""
-    xv = _as_vector("x", x)
-    yv = _as_vector("y", y)
-    if xv.size != yv.size:
-        raise CorrelationError(f"length mismatch: {xv.size} vs {yv.size}")
-    if xv.size < 2:
-        raise CorrelationError(f"need at least 2 observations, got {xv.size}")
+    xv, yv = _paired(x, y)
     rx = average_ranks(xv)
     ry = average_ranks(yv)
     ax = rx - rx.mean()
@@ -157,7 +158,8 @@ def run_correlation(records: list[BenchmarkRecord], settings: ScoreSettings,
     """Score every record with fixed seeds and correlate against accuracy.
 
     Records whose genomes fail to compile or score are reported and
-    skipped; `n` counts successes. Scoring may run on several threads;
+    skipped; `n` counts successes. Each distinct genome is scored once,
+    however many records list it. Scoring may run on several threads;
     results are gathered in record order, so the report does not depend
     on the thread count. The settings block is echoed into the report so
     downstream consumers can see exactly which defaults applied.
@@ -166,15 +168,18 @@ def run_correlation(records: list[BenchmarkRecord], settings: ScoreSettings,
         raise CorrelationError(
             f"need at least 2 records to correlate, got {len(records)}")
 
-    def score_one(rec: BenchmarkRecord):
+    def score_one(genome: Genome):
         try:
-            return rec, score_genome(rec.genome, settings), None
+            return score_genome(genome, settings), None
         except (GenomeError, ProxyError) as exc:
-            return rec, None, str(exc)
+            return None, str(exc)
 
+    genomes = list(dict.fromkeys(rec.genome for rec in records))
+    results = dict(zip(genomes, parallel_map(score_one, genomes, threads)))
     scored = []
     failures = []
-    for rec, score, error in parallel_map(score_one, records, threads):
+    for rec in records:
+        score, error = results[rec.genome]
         if error is not None:
             failures.append({"id": rec.id, "error": error})
         else:

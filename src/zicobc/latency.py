@@ -54,13 +54,11 @@ class LatencyTable:
 
 @dataclass
 class LatencyEstimate:
-    total_us: float
-    per_layer: list[dict]
-    misses: int
+    """`latency` prints its `asdict`, keys in field order."""
 
-    def to_json_dict(self) -> dict:
-        return {"total_us": self.total_us, "misses": self.misses,
-                "per_layer": self.per_layer}
+    total_us: float
+    misses: int
+    per_layer: list[dict]
 
 
 def layer_key(layer: ParamLayer) -> LatencyKey:

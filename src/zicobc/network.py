@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -236,29 +236,9 @@ def _validate_gene(genome: Genome, i: int, gene: StageGene) -> None:
 
 # -- serialization -----------------------------------------------------------
 
-def genome_to_dict(genome: Genome) -> dict:
-    return {
-        "family": genome.family,
-        "stages": [
-            {
-                "repeats": s.repeats,
-                "channels": s.channels,
-                "kernel": s.kernel,
-                "conv_mode": s.conv_mode,
-                "stride": s.stride,
-            }
-            for s in genome.stages
-        ],
-        "stem_channels": genome.stem_channels,
-        "num_classes": genome.num_classes,
-        "input_resolution": list(genome.input_resolution),
-        "expansion": genome.expansion,
-    }
-
-
 def genome_to_json(genome: Genome) -> str:
     """Canonical JSON form: sorted keys, compact separators, byte-stable."""
-    return json.dumps(genome_to_dict(genome), sort_keys=True, separators=(",", ":"))
+    return json.dumps(asdict(genome), sort_keys=True, separators=(",", ":"))
 
 
 def read_text(path, error: type[ValueError]) -> str:
@@ -515,8 +495,7 @@ def mutate(genome: Genome, space: GenomeSpace, seed: int) -> Genome:
         if rng.random() < CONV_MODE_RATE:
             mode = _another(space.conv_modes, mode, rng)
         if not mode_is_legal(genome.family, channels, mode):
-            mode = next(m for m in space.conv_modes
-                        if mode_is_legal(genome.family, channels, m))
+            mode = space.legal_modes(channels)[0]
         stages.append(StageGene(repeats, channels, kernel, mode, gene.stride))
     return replace(genome, stages=tuple(stages), expansion=expansion)
 

@@ -15,7 +15,7 @@ import contextlib
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -51,23 +51,13 @@ class GradientStats:
 
 @dataclass
 class ProxyScore:
+    """`score` prints its `asdict`, keys in field order."""
+
     zico: float
     penalty: float
     beta: float
     zico_bc: float
-    per_layer_terms: list[tuple[int, float, float]] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "zico": self.zico,
-            "penalty": self.penalty,
-            "beta": self.beta,
-            "zico_bc": self.zico_bc,
-            "per_layer": [
-                {"layer": i, "score_term": s, "penalty_term": p}
-                for i, s, p in self.per_layer_terms
-            ],
-        }
+    per_layer: list[dict]
 
 
 @dataclass(frozen=True)
@@ -267,8 +257,8 @@ def zico_bc_score(stats: GradientStats, graph: LayerGraph, beta: float) -> Proxy
         penalty=penalty,
         beta=beta,
         zico_bc=zico - beta * penalty,
-        per_layer_terms=[
-            (layer.index, s, p)
+        per_layer=[
+            {"layer": layer.index, "score_term": s, "penalty_term": p}
             for layer, s, p in zip(graph.layers, score_terms, penalty_terms)
         ],
     )

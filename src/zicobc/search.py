@@ -227,9 +227,9 @@ class _Evaluator:
         self._cache: dict[str, tuple] = {}
 
     def _evaluate_key(self, key: str, genome) -> tuple:
-        try:
-            proxy = self.proxy_fn(genome)
+        try:  # latency first: a genome it cannot price is never scored
             latency = float(self.latency_fn(genome))
+            proxy = self.proxy_fn(genome)
         except Exception as exc:
             raise EvaluationFailure(key, exc) from exc
         if isinstance(proxy, ProxyScore):
@@ -412,7 +412,7 @@ class GenomeSpace:
         if not self.conv_modes or bad_modes:
             raise SearchConfigError(f"unknown conv modes {bad_modes or '(empty)'}")
         for c in self.channel_choices:
-            if not self._legal_modes(c):
+            if not self.legal_modes(c):
                 raise SearchConfigError(
                     f"no legal conv mode for {c} channels with modes "
                     f"{self.conv_modes} in family {self.family}")
@@ -426,7 +426,7 @@ class GenomeSpace:
             witnesses.extend(first[:knob] + (c,) + first[knob + 1:] for c in choices)
         for repeats, channels, kernel, expansion in witnesses:
             stages = tuple(StageGene(repeats, channels, kernel,
-                                     self._legal_modes(channels)[0], s)
+                                     self.legal_modes(channels)[0], s)
                            for s in self.strides)
             try:
                 self._genome(stages, expansion)
@@ -440,7 +440,8 @@ class GenomeSpace:
                 f"conv_modes: {', '.join(unused)} is legal at none of the "
                 f"declared channels {self.channel_choices} in family {self.family}")
 
-    def _legal_modes(self, channels: int) -> list[str]:
+    def legal_modes(self, channels: int) -> list[str]:
+        """The declared conv modes legal at `channels`, in declared order."""
         return [m for m in self.conv_modes if mode_is_legal(self.family, channels, m)]
 
     def _genome(self, stages: tuple[StageGene, ...], expansion: int) -> Genome:
@@ -455,7 +456,7 @@ class GenomeSpace:
 
     def _gene(self, rng: np.random.Generator, stride: int) -> StageGene:
         channels = int(rng.choice(self.channel_choices))
-        modes = self._legal_modes(channels)
+        modes = self.legal_modes(channels)
         return StageGene(
             repeats=int(rng.choice(self.repeat_choices)),
             channels=channels,

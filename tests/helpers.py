@@ -14,8 +14,8 @@ from typing import Iterable
 import numpy as np
 
 from zicobc.latency import CSV_FIELDS, LatencyTable
-from zicobc.network import Genome, LayerGraph, StageGene, _param_shapes, genome_to_dict
-from zicobc.proxy import GradientStats, ProxyError, _layer_terms, _openblas, _penalty_terms
+from zicobc.network import Genome, LayerGraph, StageGene, _param_shapes, genome_to_json
+from zicobc.proxy import GradientStats, _layer_terms, _openblas, _penalty_terms
 from zicobc.tensor import Tape, Tensor, _col2im, _im2col
 
 
@@ -54,6 +54,11 @@ def random_genome(rng: np.random.Generator, family: str | None = None,
     )
 
 
+def genome_to_dict(genome: Genome) -> dict:
+    """The genome as the JSON object a genome file holds."""
+    return json.loads(genome_to_json(genome))
+
+
 def parameter_tensors(graph: LayerGraph) -> list[Tensor]:
     """Every weight and bias tensor of a weighted graph, in layer order."""
     return [t for layer in graph.layers for t in (layer.weight, layer.bias)
@@ -76,8 +81,6 @@ def parameter_hash(graph: LayerGraph) -> str:
 
 def zico_score(stats: GradientStats) -> float:
     """The uncorrected score alone: `zico_bc_score(...).zico` without a graph."""
-    if not stats.layers:
-        raise ProxyError("cannot score an empty graph")
     return math.fsum(_layer_terms(stats))
 
 

@@ -16,7 +16,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import brute_force_mac_count, parameter_hash, random_genome, zico_score
+from helpers import (
+    brute_force_mac_count,
+    genome_to_dict,
+    parameter_hash,
+    random_genome,
+    zico_score,
+)
 from test_correlation import pearson_oracle, rank_count_oracle, tau_pair_oracle
 from test_tensor import assert_close_to_fd, finite_diff_grad, probe_to_scalar
 
@@ -34,7 +40,6 @@ from zicobc.network import (
     StageGene,
     compile_genome,
     count_macs,
-    genome_to_dict,
     genome_to_json,
     init_weights,
 )

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_genome, save_records
+from helpers import genome_to_dict, random_genome, save_records
+from zicobc import correlation
 from zicobc.correlation import (
     BenchmarkRecord,
     CorrelationError,
@@ -18,7 +20,7 @@ from zicobc.correlation import (
     run_correlation,
     spearman_rho,
 )
-from zicobc.network import genome_to_dict
+from zicobc.network import genome_from_dict
 from zicobc.proxy import ScoreSettings, score_genome
 
 
@@ -209,6 +211,28 @@ class TestRunCorrelation:
         report = run_correlation(records, forced)
         assert report["n"] == 5
         assert [f["id"] for f in report["failures"]] == ["bad"]
+
+    def test_repeated_genome_scored_once(self, monkeypatch):
+        records, settings_ = make_records(3, seed=4)
+        # each genome listed again under another id, as an equal copy
+        records += [dataclasses.replace(rec, id=f"{rec.id}-again",
+                                        genome=genome_from_dict(genome_to_dict(rec.genome)))
+                    for rec in records]
+        calls = []
+
+        def counting_score(genome, settings):
+            calls.append(genome)
+            return score_genome(genome, settings)
+
+        monkeypatch.setattr(correlation, "score_genome", counting_score)
+        report = run_correlation(records, settings_, threads=2)
+        assert len(calls) == 3
+        assert report["n"] == 6
+        for rec, row in zip(records, report["records"]):
+            score = score_genome(rec.genome, settings_)
+            assert row["id"] == rec.id
+            assert (row["zico"], row["penalty"], row["zico_bc"]) == \
+                (score.zico, score.penalty, score.zico_bc)
 
     def test_too_few_records(self):
         records, settings_ = make_records(2, seed=3)

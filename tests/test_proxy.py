@@ -212,6 +212,12 @@ class TestGatherGradientStats:
         with pytest.raises(ProxyError, match="input shape"):
             gather_gradient_stats(graph, [bad, bad])
 
+    def test_empty_graph_error(self):
+        genome = random_genome(np.random.default_rng(65), max_stages=1)
+        empty = dataclasses.replace(compile_genome(genome), layers=[])
+        with pytest.raises(ProxyError, match="empty graph"):
+            gather_gradient_stats(empty, make_batches(empty, 2, 2, seed=1))
+
 
 class TestZicoScore:
     def test_unit_ratio_is_nearly_zero(self):
@@ -242,10 +248,6 @@ class TestZicoScore:
     def test_dead_layer_clamps_to_log_eps(self):
         score = zico_score(stats_of([(0.0, 0.0)]))
         assert score == math.log(GRAD_EPS)
-
-    def test_empty_stats_error(self):
-        with pytest.raises(ProxyError, match="empty"):
-            zico_score(GradientStats(layers=[]))
 
 
 class TestDepthWidthPenalty:
@@ -305,7 +307,7 @@ class TestZicoBcScore:
                 s = zico_bc_score(stats, graph, beta)
                 err = abs(s.zico_bc - (s.zico - beta * s.penalty))
                 assert err < 1e-9 * max(1.0, abs(s.zico))
-                assert len(s.per_layer_terms) == len(graph.layers)
+                assert len(s.per_layer) == len(graph.layers)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ProxyError, match="beta"):
@@ -353,7 +355,7 @@ class TestScoreGenome:
         settings = ScoreSettings(beta=1.0, batches=2, batch_size=2, seed=11)
         a = score_genome(genome, settings)
         b = score_genome(genome, settings)
-        assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+        assert json.dumps(dataclasses.asdict(a)) == json.dumps(dataclasses.asdict(b))
 
     def test_resolution_override(self):
         genome = random_genome(np.random.default_rng(92), max_stages=1)

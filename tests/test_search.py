@@ -225,6 +225,21 @@ class TestRunSearch:
             run_search(ToySpace(), config, bad_proxy, toy_latency)
         assert err.value.genome_json  # offending genome serialized in the error
 
+    def test_unpriceable_genome_is_never_scored(self):
+        calls = []
+
+        def counting_proxy(x):
+            calls.append(x)
+            return toy_proxy(x)
+
+        def unpriceable(x):
+            raise ValueError("no table entry")
+
+        config = SearchConfig(population=4, generations=1, seed=0)
+        with pytest.raises(EvaluationFailure, match="no table entry"):
+            run_search(ToySpace(), config, counting_proxy, unpriceable)
+        assert calls == []
+
     @pytest.mark.parametrize("objective", ["proxy", "latency"])
     def test_infinite_objective_fails_naming_genome(self, objective):
         def infinite(x):
