@@ -5,9 +5,7 @@ Outputs are machine-first: primary results go to standard output (or
 run with --out also writes a manifest (<out>.manifest.json) recording the
 fully resolved configuration, seeds, tool version, and input digests;
 `replay MANIFEST` reruns it and reproduces the output byte for byte, and
-takes no option but --out and --log. Replay was once an option of every
-subcommand, named from-manifest; a script that still passes it to
-`zicobc X` gets exit 2 and should call `zicobc replay M`.
+takes no option but --out and --log.
 Exit codes: 0 success, 2 usage or validation error, 3 runtime evaluation
 failure.
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .network import Genome, GenomeError, genome_from_dict, parse_json, read_text
-from .proxy import ProxyError, ScoreSettings, parallel_map, score_genome
+from .proxy import ScoreSettings, parallel_map, score_genome
 
 
 class CorrelationError(ValueError):
@@ -157,12 +157,13 @@ def run_correlation(records: list[BenchmarkRecord], settings: ScoreSettings,
                     threads: int = 1) -> dict:
     """Score every record with fixed seeds and correlate against accuracy.
 
-    Records whose genomes fail to compile or score are reported and
-    skipped; `n` counts successes. Each distinct genome is scored once,
-    however many records list it. Scoring may run on several threads;
-    results are gathered in record order, so the report does not depend
-    on the thread count. The settings block is echoed into the report so
-    downstream consumers can see exactly which defaults applied.
+    Records whose genomes fail to compile or score, for any reason, are
+    reported and skipped; `n` counts successes. Each distinct genome is
+    scored once, however many records list it. Scoring may run on
+    several threads; results are gathered in record order, so the report
+    does not depend on the thread count. The settings block is echoed
+    into the report so downstream consumers can see exactly which
+    defaults applied.
     """
     if len(records) < 2:
         raise CorrelationError(
@@ -171,7 +172,7 @@ def run_correlation(records: list[BenchmarkRecord], settings: ScoreSettings,
     def score_one(genome: Genome):
         try:
             return score_genome(genome, settings), None
-        except (GenomeError, ProxyError) as exc:
+        except Exception as exc:  # the set search's evaluator catches
             return None, str(exc)
 
     genomes = list(dict.fromkeys(rec.genome for rec in records))

@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .network import Genome, LayerGraph, check_ints, compile_genome, init_weights
-from .tensor import Tape, Tensor, WorkerPool, seeded_fill
+from .tensor import Tape, Tensor, WorkerPool
 
 GRAD_EPS = 1e-12
 STAT_MODES = ("abs", "signed")
@@ -108,9 +108,10 @@ def make_batches(graph: LayerGraph, count: int, batch_size: int,
     c, h, w = graph.input_shape
     batches = []
     for b in range(count):
-        x = seeded_fill((batch_size, c, h, w), "gaussian", _batch_seed(seed, b, 0))
-        labels = seeded_fill((batch_size,), "uniform_int", _batch_seed(seed, b, 1),
-                             lo=0, hi=graph.num_classes).data.astype(np.int64)
+        x = Tensor(np.random.default_rng(_batch_seed(seed, b, 0)).normal(
+            0.0, 1.0, (batch_size, c, h, w)))
+        labels = np.random.default_rng(_batch_seed(seed, b, 1)).integers(
+            0, graph.num_classes, size=batch_size)
         batches.append((x, labels))
     return batches
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -31,10 +31,8 @@ from .network import (
     StageGene,
     _mix,
     check_ints,
-    crossover as genome_crossover,
     genome_to_json,
     mode_is_legal,
-    mutate as genome_mutate,
 )
 from .proxy import ProxyScore, parallel_map
 
@@ -45,6 +43,10 @@ class SearchConfigError(ValueError):
 
 class ObjectiveError(ValueError):
     """An evaluator produced a NaN or otherwise unusable objective."""
+
+
+class IncompatibleParentsError(ValueError):
+    """Crossover parents differ in family or stage count."""
 
 
 class EvaluationFailure(RuntimeError):
@@ -244,16 +246,13 @@ class _Evaluator:
 
     def __call__(self, genomes: list) -> list[Individual]:
         keyed = [(self.space.serialize(g), g) for g in genomes]
-        missing = []
-        seen = set()
+        missing = {}  # each key not yet evaluated -> its first genome
         for key, genome in keyed:
-            if key not in self._cache and key not in seen:
-                seen.add(key)
-                missing.append((key, genome))
-        results = parallel_map(lambda kg: self._evaluate_key(*kg), missing,
+            if key not in self._cache:
+                missing.setdefault(key, genome)
+        results = parallel_map(lambda kg: self._evaluate_key(*kg), missing.items(),
                                self.threads)
-        for (key, _), result in zip(missing, results):
-            self._cache[key] = result
+        self._cache.update(zip(missing, results))
         out = []
         ceiling = self.config.latency_ceiling_us
         for key, genome in keyed:
@@ -375,6 +374,91 @@ def run_search(space, config: SearchConfig, proxy_fn: Callable,
         if progress:
             progress(f"generation {gen}: archive={len(archive)}")
     return archive, log
+
+
+# -- variation -------------------------------------------------------------------
+
+REPEATS_RATE = 0.3
+CHANNELS_RATE = 0.3
+KERNEL_RATE = 0.2
+CONV_MODE_RATE = 0.2
+EXPANSION_RATE = 0.2  # drawn only when the space declares several expansions
+
+
+def _step(choices: tuple[int, ...], value: int, delta: int) -> int:
+    """Move `delta` places along the sorted choices, clamped at the ends."""
+    ordered = sorted(choices)
+    return ordered[min(max(ordered.index(value) + delta, 0), len(ordered) - 1)]
+
+
+def _another(choices: tuple, value, rng: np.random.Generator):
+    """A different declared value, or `value` itself when there is none."""
+    options = [c for c in choices if c != value]
+    return options[rng.integers(0, len(options))] if options else value
+
+
+def genome_mutate(genome: Genome, space: GenomeSpace, seed: int) -> Genome:
+    """Seeded point mutation within the declared choices of a search space.
+
+    Repeats move one place and channels one or two places along their
+    sorted declared lists, clamped at the ends; kernels, conv modes and the
+    expansion jump to another declared value. A stage whose mode is illegal
+    at its new channel count takes the first declared mode legal there.
+    Strides are part of the space topology and never mutated. The genome
+    must lie in the space.
+    """
+    rng = np.random.default_rng(_mix(seed, 0x6D75))
+    stages = []
+    expansion = genome.expansion
+    if len(space.expansion_choices) > 1 and rng.random() < EXPANSION_RATE:
+        expansion = _another(space.expansion_choices, expansion, rng)
+    for gene in genome.stages:
+        repeats = gene.repeats
+        channels = gene.channels
+        kernel = gene.kernel
+        mode = gene.conv_mode
+        if rng.random() < REPEATS_RATE:
+            repeats = _step(space.repeat_choices, repeats, int(rng.choice([-1, 1])))
+        if rng.random() < CHANNELS_RATE:
+            channels = _step(space.channel_choices, channels,
+                             int(rng.choice([-2, -1, 1, 2])))
+        if rng.random() < KERNEL_RATE:
+            kernel = _another(space.kernel_choices, kernel, rng)
+        if rng.random() < CONV_MODE_RATE:
+            mode = _another(space.conv_modes, mode, rng)
+        if not mode_is_legal(genome.family, channels, mode):
+            mode = space.legal_modes(channels)[0]
+        stages.append(StageGene(repeats, channels, kernel, mode, gene.stride))
+    return replace(genome, stages=tuple(stages), expansion=expansion)
+
+
+def genome_crossover(a: Genome, b: Genome, seed: int) -> Genome:
+    """Uniform per-stage crossover of the searched knobs.
+
+    Stage strides (the space topology) always come from parent `a` so the
+    child keeps a consistent stride pattern; scalar fields are inherited
+    per-field from a random parent.
+    """
+    if a.family != b.family or len(a.stages) != len(b.stages):
+        raise IncompatibleParentsError(
+            f"parents differ in family or stage count: "
+            f"{a.family}/{len(a.stages)} vs {b.family}/{len(b.stages)}")
+    rng = np.random.default_rng(_mix(seed, 0x786F))
+    stages = []
+    for ga, gb in zip(a.stages, b.stages):
+        pick = gb if rng.random() < 0.5 else ga
+        stages.append(StageGene(repeats=pick.repeats, channels=pick.channels,
+                                kernel=pick.kernel, conv_mode=pick.conv_mode,
+                                stride=ga.stride))
+    # genes are inherited whole from one valid parent, so no repair is needed
+    return Genome(
+        family=a.family,
+        stages=tuple(stages),
+        stem_channels=(b if rng.random() < 0.5 else a).stem_channels,
+        num_classes=a.num_classes,
+        input_resolution=a.input_resolution,
+        expansion=(b if rng.random() < 0.5 else a).expansion,
+    )
 
 
 # -- genome space adapter ---------------------------------------------------------

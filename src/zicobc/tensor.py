@@ -6,22 +6,21 @@ residual addition, and cross-entropy loss. Ops execute eagerly on numpy
 arrays; a Tape records each primitive so gradients of a scalar loss with
 respect to every parameter can be replayed in reverse execution order.
 
-Everything is float64 and deterministic: identical inputs and seeds give
+Everything is float64 and deterministic: identical inputs give
 bit-identical results, independent of how many evaluations run in
 parallel on other tapes and of how many workers a tape's own pool has.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 
 class TensorError(ValueError):
-    """Invalid tensor construction or fill parameters."""
+    """Invalid tensor construction or element access."""
 
 
 class ShapeMismatchError(ValueError):
@@ -66,53 +65,6 @@ class Tensor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape})"
-
-
-def zeros(shape: Sequence[int]) -> Tensor:
-    return Tensor(np.zeros(tuple(shape), dtype=np.float64))
-
-
-def seeded_fill(shape: Sequence[int], distribution: str, seed: int, **params) -> Tensor:
-    """Deterministically fill a tensor from a named distribution.
-
-    Supported distributions:
-      * ``gaussian``       -- params ``mean`` (default 0.0) and ``std`` (> 0)
-      * ``kaiming_normal`` -- param ``fan_in`` (> 0); std = sqrt(2 / fan_in)
-      * ``uniform_int``    -- params ``lo`` and ``hi``; integers in [lo, hi)
-
-    Identical (shape, distribution, params, seed) produce bit-identical
-    tensors.
-    """
-    rng = np.random.default_rng(seed)
-    shape = tuple(int(s) for s in shape)
-    if distribution == "gaussian":
-        mean = float(params.pop("mean", 0.0))
-        std = float(params.pop("std", 1.0))
-        if std <= 0.0:
-            raise TensorError(f"gaussian std must be > 0, got {std}")
-        _reject_extras("gaussian", params)
-        values = rng.normal(loc=mean, scale=std, size=shape)
-    elif distribution == "kaiming_normal":
-        fan_in = int(params.pop("fan_in"))
-        if fan_in <= 0:
-            raise TensorError(f"kaiming_normal fan_in must be > 0, got {fan_in}")
-        _reject_extras("kaiming_normal", params)
-        values = rng.normal(loc=0.0, scale=math.sqrt(2.0 / fan_in), size=shape)
-    elif distribution == "uniform_int":
-        lo = int(params.pop("lo"))
-        hi = int(params.pop("hi"))
-        if hi <= lo:
-            raise TensorError(f"uniform_int needs lo < hi, got [{lo}, {hi})")
-        _reject_extras("uniform_int", params)
-        values = rng.integers(lo, hi, size=shape).astype(np.float64)
-    else:
-        raise TensorError(f"unknown distribution {distribution!r}")
-    return Tensor(values)
-
-
-def _reject_extras(distribution: str, params: dict) -> None:
-    if params:
-        raise TensorError(f"unexpected {distribution} parameters: {sorted(params)}")
 
 
 class WorkerPool(ThreadPoolExecutor):

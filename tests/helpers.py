@@ -54,6 +54,20 @@ def random_genome(rng: np.random.Generator, family: str | None = None,
     )
 
 
+def seeded_fill(shape, distribution: str, seed: int, **params) -> Tensor:
+    """A tensor drawn from its own seeded stream: ``gaussian`` (standard
+    normal), ``kaiming_normal`` (param ``fan_in``; std sqrt(2 / fan_in)) or
+    ``uniform_int`` (params ``lo`` and ``hi``; integers in [lo, hi))."""
+    rng = np.random.default_rng(seed)
+    if distribution == "gaussian":
+        values = rng.normal(0.0, 1.0, shape)
+    elif distribution == "kaiming_normal":
+        values = rng.normal(0.0, math.sqrt(2.0 / params["fan_in"]), shape)
+    elif distribution == "uniform_int":
+        values = rng.integers(params["lo"], params["hi"], size=shape)
+    return Tensor(values)
+
+
 def genome_to_dict(genome: Genome) -> dict:
     """The genome as the JSON object a genome file holds."""
     return json.loads(genome_to_json(genome))

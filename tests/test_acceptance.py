@@ -21,6 +21,7 @@ from helpers import (
     genome_to_dict,
     parameter_hash,
     random_genome,
+    seeded_fill,
     zico_score,
 )
 from test_correlation import pearson_oracle, rank_count_oracle, tau_pair_oracle
@@ -59,7 +60,7 @@ from zicobc.search import (
     non_dominated_sort,
     run_search,
 )
-from zicobc.tensor import Tape, Tensor, seeded_fill
+from zicobc.tensor import Tape, Tensor
 
 
 @contextmanager

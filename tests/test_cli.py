@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,14 +23,34 @@ from zicobc.cli import main
 from zicobc.proxy import blas_core
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("ZICO_BC_SEED", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args, env_seed=None):
+    """`zicobc ARGS` run in process: the exit code, then stdout and stderr
+    as bytes. ZICO_BC_SEED is `env_seed` during the call, unset when None."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("ZICO_BC_SEED", None)
+        if env_seed is not None:
+            os.environ["ZICO_BC_SEED"] = env_seed
+        code = exit_code(args)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def run_module(args, env_extra):
+    """`python -m zicobc.cli ARGS` in a fresh interpreter whose environment
+    adds `env_extra` and lacks ZICO_BC_SEED; (exit code, stdout, stderr)."""
+    env = {key: value for key, value in os.environ.items() if key != "ZICO_BC_SEED"}
     proc = subprocess.run([sys.executable, "-m", "zicobc.cli", *args],
-                          capture_output=True, env=env)
+                          capture_output=True, env={**env, **env_extra})
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def exit_code(argv) -> int:
+    """`main(argv)` in process; any exception but argparse's exit escapes
+    to the calling test."""
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refusing a value, or --help
+        return exc.code
 
 
 @pytest.fixture()
@@ -76,7 +97,7 @@ class TestScore:
     def test_bad_env_seed_exits_2(self, genome_file):
         path, _ = genome_file
         code, out, err = run_cli(["score", str(path), *FAST],
-                                 env_extra={"ZICO_BC_SEED": "abc"})
+                                 env_seed="abc")
         assert code == 2
         assert out == b""
         assert b"ZICO_BC_SEED" in err
@@ -97,7 +118,7 @@ class TestScore:
         path, _ = genome_file
         _, by_flag, _ = run_cli(["score", str(path), "--seed", "77", *FAST])
         _, by_env, _ = run_cli(["score", str(path), *FAST],
-                               env_extra={"ZICO_BC_SEED": "77"})
+                               env_seed="77")
         assert by_flag == by_env
 
     def test_manifest_written_and_replayable(self, genome_file, tmp_path):
@@ -138,8 +159,9 @@ class TestScore:
             pytest.skip("numpy's bundled OpenBLAS is absent")
         path, _ = genome_file
         out = tmp_path / "score.json"
-        code, _, err = run_cli(["score", str(path), *FAST, "--out", str(out)],
-                               env_extra={"OPENBLAS_CORETYPE": "Haswell"})
+        # OpenBLAS reads its core type when it loads: a fresh interpreter
+        code, _, err = run_module(["score", str(path), *FAST, "--out", str(out)],
+                                  {"OPENBLAS_CORETYPE": "Haswell"})
         assert code == 0, err.decode()
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert manifest["environment"]["blas"]["core"] == "Haswell"
@@ -394,15 +416,6 @@ BAD_MANIFESTS = {
     "not_utf8": (lambda m: b"\xff\xfe" + json.dumps(m).encode(),
                  b"not_utf8.manifest.json: 'utf-8' codec can't decode"),
 }
-
-
-def exit_code(argv) -> int:
-    """`main(argv)` in process; any exception but argparse's exit escapes
-    to the calling test."""
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse refusing a value
-        return exc.code
 
 
 class TestValidation:
@@ -1113,6 +1126,13 @@ class TestHelp:
             assert code == 0
             for option in ("--seed", "--threads", "--out", "--log", "--from-manifest"):
                 assert (option.encode() in out) == (option in offered), (cmd, option)
+
+    def test_module_entry_point_writes_the_in_process_bytes(self, genome_file):
+        path, _ = genome_file
+        args = ["score", str(path), "--seed", "2", *FAST]
+        code, out, err = run_module(args, {})
+        assert (code, out, err) == run_cli(args)
+        assert code == 0 and out
 
     def test_in_process_entry_point(self, tmp_path, capsys):
         genome = random_genome(np.random.default_rng(1), max_stages=1)

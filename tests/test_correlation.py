@@ -20,7 +20,7 @@ from zicobc.correlation import (
     run_correlation,
     spearman_rho,
 )
-from zicobc.network import genome_from_dict
+from zicobc.network import Genome, StageGene, genome_from_dict
 from zicobc.proxy import ScoreSettings, score_genome
 
 
@@ -201,7 +201,6 @@ class TestRunCorrelation:
     def test_failures_reported_and_skipped(self):
         records, settings_ = make_records(5, seed=2)
         # an override resolution that breaks a stride-2 genome at compile time
-        from zicobc.network import Genome, StageGene
         bad = Genome(family="resnet_like",
                      stages=(StageGene(1, 16, 3, "regular", 2),),
                      stem_channels=8, num_classes=4, input_resolution=(8, 8))
@@ -233,6 +232,31 @@ class TestRunCorrelation:
             assert row["id"] == rec.id
             assert (row["zico"], row["penalty"], row["zico_bc"]) == \
                 (score.zico, score.penalty, score.zico_bc)
+
+    def test_any_scoring_error_costs_only_its_records(self, monkeypatch):
+        records, settings_ = make_records(4, seed=5)
+        # legal but far too large to score; the stand-in scorer never runs it
+        big = Genome(family="resnet_like",
+                     stages=(StageGene(1, 65536, 3, "regular", 1),),
+                     stem_channels=8, num_classes=4, input_resolution=(8, 8))
+        records[1:1] = [BenchmarkRecord(id=f"big-{i}", genome=big, test_accuracy=50.0)
+                        for i in range(2)]
+        message = "Unable to allocate 64.0 GiB"
+        calls = []
+
+        def scorer(genome, settings):
+            calls.append(genome)
+            if genome == big:
+                raise MemoryError(message)
+            return score_genome(genome, settings)
+
+        monkeypatch.setattr(correlation, "score_genome", scorer)
+        report = run_correlation(records, settings_, threads=2)
+        assert calls.count(big) == 1
+        assert report["failures"] == [{"id": f"big-{i}", "error": message}
+                                      for i in range(2)]
+        assert report["n"] == 4
+        assert [row["id"] for row in report["records"]] == ["r0", "r1", "r2", "r3"]
 
     def test_too_few_records(self):
         records, settings_ = make_records(2, seed=3)

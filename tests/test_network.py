@@ -14,6 +14,7 @@ from helpers import (
     depth_width_penalty,
     parameter_hash,
     random_genome,
+    seeded_fill,
 )
 from zicobc.latency import LatencyTable, estimate
 from zicobc.network import (
@@ -21,18 +22,20 @@ from zicobc.network import (
     MAX_EXTENT,
     Genome,
     GenomeError,
-    IncompatibleParentsError,
     StageGene,
     compile_genome,
     count_macs,
-    crossover,
     genome_from_dict,
     genome_to_json,
     init_weights,
-    mutate,
 )
-from zicobc.search import GenomeSpace
-from zicobc.tensor import Tape, seeded_fill
+from zicobc.search import (
+    GenomeSpace,
+    IncompatibleParentsError,
+    genome_crossover,
+    genome_mutate,
+)
+from zicobc.tensor import Tape
 
 
 def single_stage_genome(family="resnet_like", repeats=1, channels=32, kernel=3,
@@ -335,7 +338,7 @@ class TestVariation:
                             expansion_choices=(2,), input_resolution=(8, 8))
         g = space.sample(np.random.default_rng(51))
         for seed in range(50):
-            assert mutate(g, space, seed=seed) == g
+            assert genome_mutate(g, space, seed=seed) == g
 
     # (family, declared modes, mode a group stage takes at 40 channels)
     MODE_REPAIR_CASES = [
@@ -351,7 +354,7 @@ class TestVariation:
         space = space_around(g, channel_choices=(32, 40), repeat_choices=(1,),
                              kernel_choices=(3,), conv_modes=modes,
                              expansion_choices=(4,))
-        moved = [c for c in (mutate(g, space, seed=s) for s in range(100))
+        moved = [c for c in (genome_mutate(g, space, seed=s) for s in range(100))
                  if c.stages[0].channels == 40]
         assert moved  # some seeds step to 40, where group is illegal
         assert {c.stages[0].conv_mode for c in moved} == {repaired}
@@ -360,25 +363,25 @@ class TestVariation:
         rng = np.random.default_rng(52)
         for seed in range(10):
             g = random_genome(rng)
-            assert crossover(g, g, seed=seed) == g
+            assert genome_crossover(g, g, seed=seed) == g
 
     def test_incompatible_parents(self):
         a = single_stage_genome()
         b = single_stage_genome(family="effnet_like")
         with pytest.raises(IncompatibleParentsError):
-            crossover(a, b, 0)
+            genome_crossover(a, b, 0)
         c = Genome(family="resnet_like",
                    stages=a.stages + a.stages,
                    stem_channels=8, num_classes=4, input_resolution=(8, 8))
         with pytest.raises(IncompatibleParentsError):
-            crossover(a, c, 0)
+            genome_crossover(a, c, 0)
 
     def test_mutation_children_always_valid(self):
         rng = np.random.default_rng(53)
         g = random_genome(rng)
         space = space_around(g, channel_choices=tuple(range(8, 129, 8)))
         for seed in range(2000):
-            g2 = mutate(g, space, seed=seed)  # raises GenomeError on violation
+            g2 = genome_mutate(g, space, seed=seed)  # raises GenomeError on violation
             assert genome_from_dict(json.loads(genome_to_json(g2))) == g2
             if seed % 97 == 0:
                 g = g2  # walk the space a little
@@ -390,7 +393,7 @@ class TestVariation:
         # depthwise is declarable only where it is legal: effnet_like
         modes = CONV_MODES if g.family == "effnet_like" else ("regular", "group")
         space = space_around(g, conv_modes=modes)
-        child = mutate(g, space, seed=seed)  # raises GenomeError on violation
+        child = genome_mutate(g, space, seed=seed)  # raises GenomeError on violation
         assert genome_from_dict(json.loads(genome_to_json(child))) == child
         assert child.family == g.family
         assert len(child.stages) == len(g.stages)
@@ -400,4 +403,4 @@ class TestVariation:
     def test_mutation_is_deterministic(self):
         g = random_genome(np.random.default_rng(55))
         space = space_around(g)
-        assert mutate(g, space, seed=9) == mutate(g, space, seed=9)
+        assert genome_mutate(g, space, seed=9) == genome_mutate(g, space, seed=9)

@@ -1,5 +1,5 @@
 """Guards on the source tree itself: no production code that only tests call,
-and no second list of names at the package root."""
+no second list of names at the package root, and no import up the layers."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,11 @@ SRC = Path(zicobc.__file__).parent
 
 # perfbench's traced runs read count_macs to turn op times into GMAC/s
 READ_FROM_OUTSIDE = {"count_macs"}
+
+# each module's layer: tensor < network < latency, proxy < search,
+# correlation < cli; the package root holds only the version
+LAYERS = {"__init__": 0, "tensor": 1, "network": 2, "latency": 3, "proxy": 3,
+          "search": 4, "correlation": 4, "cli": 5}
 
 
 def _used_names(tree: ast.AST) -> list[tuple[str, int]]:
@@ -58,3 +63,18 @@ def test_package_root_binds_only_version():
     others = [node for node in tree.body
               if not isinstance(node, (ast.Assign, ast.Expr))]
     assert bound == ["__version__"] and not others
+
+
+def test_modules_import_only_downward():
+    """Every relative import in src/, one under `if TYPE_CHECKING` included,
+    names a module of a lower layer than the importing one."""
+    paths = sorted(SRC.glob("*.py"))
+    assert {path.stem for path in paths} == set(LAYERS)
+    upward = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported = node.module or "__init__"
+                if LAYERS[imported] >= LAYERS[path.stem]:
+                    upward.append(f"{path.stem} imports {imported} (line {node.lineno})")
+    assert not upward, upward

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import zicobc.tensor as tensor_module
-from helpers import ColumnKeepingTape, parameter_tensors, tensor_digest
+from helpers import ColumnKeepingTape, parameter_tensors, seeded_fill, tensor_digest
 from zicobc.network import Genome, StageGene, compile_genome, init_weights
 from zicobc.proxy import make_batches
 from zicobc.tensor import (
@@ -17,7 +17,6 @@ from zicobc.tensor import (
     Tensor,
     TensorError,
     WorkerPool,
-    seeded_fill,
 )
 
 FD_STEP = 1e-5
@@ -614,30 +613,37 @@ class TestFiniteDifferenceOracle:
 
 
 class TestSeededFill:
+    """The program's three seeded draws: Kaiming-normal weights in
+    `init_weights`, standard-Gaussian inputs and uniform labels in
+    `make_batches`."""
+
     def test_gaussian_determinism(self):
-        a = seeded_fill((4, 4), "gaussian", 42, mean=0.0, std=1.0)
-        b = seeded_fill((4, 4), "gaussian", 42, mean=0.0, std=1.0)
-        assert a.data.tobytes() == b.data.tobytes()
+        graph = compile_genome(Genome("resnet_like", (StageGene(1, 8, 3, "regular", 1),),
+                                      8, 4, (4, 4)))
+        a, b = (make_batches(graph, 2, 3, seed=42) for _ in range(2))
+        assert [x.data.tobytes() for x, _ in a] == [x.data.tobytes() for x, _ in b]
+        assert a[0][0].data.tobytes() != a[1][0].data.tobytes()
 
     def test_kaiming_sample_std(self):
-        fan_in = 50
-        t = seeded_fill((1_000_000,), "kaiming_normal", 7, fan_in=fan_in)
-        expected = math.sqrt(2.0 / fan_in)
-        assert abs(t.data.std() - expected) / expected < 0.01
+        genome = Genome("resnet_like", (StageGene(2, 128, 5, "regular", 1),), 16, 10,
+                        (4, 4))
+        graph = init_weights(compile_genome(genome), seed=7)
+        # every weight over its layer's std sqrt(2 / fan_in): about 1.3M draws
+        unit = np.concatenate([
+            layer.weight.data.ravel() / math.sqrt(2.0 / math.prod(layer.weight.shape[1:]))
+            for layer in graph.layers])
+        assert unit.size > 1_000_000
+        assert abs(unit.std() - 1.0) < 0.01
+        assert not graph.layers[-1].bias.data.any()
 
     def test_uniform_int_frequencies(self):
-        t = seeded_fill((100_000,), "uniform_int", 9, lo=0, hi=10)
-        counts = np.bincount(t.data.astype(int), minlength=10)
+        graph = compile_genome(Genome("resnet_like", (StageGene(1, 8, 3, "regular", 1),),
+                                      8, 10, (1, 1)))
+        labels = np.concatenate([y for _, y in make_batches(graph, 100, 1000, seed=9)])
+        assert labels.dtype == np.int64
+        counts = np.bincount(labels, minlength=10)
         assert counts.size == 10
         assert np.all(np.abs(counts - 10_000) < 500)
-
-    def test_invalid_params(self):
-        with pytest.raises(TensorError):
-            seeded_fill((2,), "gaussian", 0, std=0.0)
-        with pytest.raises(TensorError):
-            seeded_fill((2,), "uniform_int", 0, lo=5, hi=5)
-        with pytest.raises(TensorError):
-            seeded_fill((2,), "nope", 0)
 
 
 def _forward_backward_digest(seed: int) -> str:
