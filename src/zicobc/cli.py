@@ -6,8 +6,9 @@ run with --out also writes a manifest (<out>.manifest.json) recording the
 fully resolved configuration, seeds, tool version, and input digests;
 `replay MANIFEST` reruns it and reproduces the output byte for byte, and
 takes no option but --out and --log.
-Exit codes: 0 success, 2 usage or validation error, 3 runtime evaluation
-failure.
+Exit codes: 0 success; 2 for a usage error or a `ValueError` or `OSError`
+(bad input); 3 for a `RuntimeError` or `MemoryError` (valid input that
+failed while running). An exception's class decides its exit code.
 
 Generation logs and crowding distances may contain IEEE infinities; they
 are serialized as Python's JSON extension token `Infinity`.
@@ -27,12 +28,7 @@ import numpy as np
 
 from . import __version__
 from .correlation import RecordError, load_records, run_correlation
-from .latency import (
-    LatencyModelError,
-    LatencyTable,
-    estimate,
-    load_table,
-)
+from .latency import LatencyTable, estimate, load_table
 from .network import (
     FAMILIES,
     GenomeError,
@@ -49,23 +45,11 @@ from .proxy import (
     blas_threads,
     score_genome,
 )
-from .search import (
-    EvaluationFailure,
-    GenomeSpace,
-    ObjectiveError,
-    SearchConfig,
-    SearchConfigError,
-    run_search,
-)
-from .tensor import TapeError
+from .search import GenomeSpace, SearchConfig, SearchConfigError, run_search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-# every validation error class is a ValueError; the runtime ones are caught first
-_VALIDATION_ERRORS = (OSError, ValueError)
-_RUNTIME_ERRORS = (EvaluationFailure, LatencyModelError, ObjectiveError, TapeError)
 
 
 class ManifestError(ValueError):
@@ -77,10 +61,10 @@ def main(argv=None) -> int:
     try:
         _resolve_common(args)
         return args.func(args)
-    except _RUNTIME_ERRORS as exc:
+    except (MemoryError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except _VALIDATION_ERRORS as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -224,6 +208,18 @@ def _resolve_common(args: argparse.Namespace) -> None:
             args.threads = os.cpu_count() or 1
         elif args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    # checked before any work, so no run is lost at the end for want of a file
+    for flag in ("out", "log"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            raise ValueError(f"--{flag}: {path} is a directory")
+        if not target.parent.is_dir():
+            raise ValueError(f"--{flag}: {target.parent} is not a directory")
+        if not os.access(target if target.exists() else target.parent, os.W_OK):
+            raise ValueError(f"--{flag}: {path} is not writable")
 
 
 # -- manifest -----------------------------------------------------------------

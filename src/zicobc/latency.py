@@ -26,9 +26,9 @@ class LatencyTableError(ValueError):
     """Malformed table file or inconsistent table contents."""
 
 
-class LatencyModelError(ValueError):
-    """Estimation impossible: a missing entry with no usable fallback, or a
-    total too large for a float."""
+class LatencyModelError(RuntimeError):
+    """Valid inputs that cannot be priced: a layer the table lacks under a
+    zero fallback rate, or a total too large for a float."""
 
 
 @dataclass

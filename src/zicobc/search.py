@@ -41,7 +41,7 @@ class SearchConfigError(ValueError):
     """Configuration violates a stated bound."""
 
 
-class ObjectiveError(ValueError):
+class ObjectiveError(RuntimeError):
     """An evaluator produced a NaN or otherwise unusable objective."""
 
 

@@ -8,8 +8,6 @@ import itertools
 import json
 import math
 import os
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
@@ -24,6 +22,7 @@ from helpers import (
     seeded_fill,
     zico_score,
 )
+from test_cli import run_cli, run_module
 from test_correlation import pearson_oracle, rank_count_oracle, tau_pair_oracle
 from test_tensor import assert_close_to_fd, finite_diff_grad, probe_to_scalar
 
@@ -445,13 +444,13 @@ def test_criterion_7_correlation_pipeline_readiness():
                   "reference: tau/rho 0.72/0.91 uncorrected, 0.78/0.94 corrected")
 
 
-def _cli(args, tmp_path, name):
-    env = dict(os.environ)
-    env.pop("ZICO_BC_SEED", None)
-    proc = subprocess.run([sys.executable, "-m", "zicobc.cli", *args],
-                          capture_output=True, env=env)
-    assert proc.returncode == 0, f"{name}: {proc.stderr.decode()}"
-    return proc.stdout
+def _cli(args, name, fresh=False):
+    """Standard output of `zicobc ARGS`, which must exit 0, with
+    ZICO_BC_SEED unset: from `python -m zicobc.cli` in a new interpreter
+    when `fresh`, else from `main` in this one."""
+    code, out, err = run_module(args, {}) if fresh else run_cli(args)
+    assert code == 0, f"{name}: {err.decode()}"
+    return out
 
 
 def test_criterion_8_cli_determinism(tmp_path):
@@ -477,7 +476,7 @@ def test_criterion_8_cli_determinism(tmp_path):
               "--stem-channels", "8", "--num-classes", "4",
               "--population", "4", "--generations", "1",
               "--batches", "2", "--batch-size", "2", "--seed", "1",
-              "--out", str(apath)], tmp_path, "archive-prep")
+              "--out", str(apath)], "archive-prep")
 
         fast = ["--batches", "2", "--batch-size", "2"]
         invocations = {
@@ -495,11 +494,12 @@ def test_criterion_8_cli_determinism(tmp_path):
         }
         pooled = ("score", "search", "correlate")  # the ones that take --threads
         for name, args in invocations.items():
+            # the first run is a rerun in a new interpreter, the other three
+            # must match it from this one
             outputs = set()
-            for threads in ("1", "8"):
+            for run, threads in enumerate(("1", "1", "8", "8")):
                 flag = ["--threads", threads] if name in pooled else []
-                for _ in range(2):
-                    outputs.add(_cli([*args, *flag], tmp_path, name))
+                outputs.add(_cli([*args, *flag], name, fresh=run == 0))
             assert len(outputs) == 1, f"{name} output varies"
 
 

@@ -19,8 +19,9 @@ from helpers import genome_to_dict, random_genome, save_table
 from zicobc.correlation import RecordError, load_records
 from zicobc.network import compile_genome, genome_to_json
 from zicobc.latency import CSV_FIELDS, LatencyTable, layer_key
+from zicobc import cli
 from zicobc.cli import main
-from zicobc.proxy import blas_core
+from zicobc.proxy import blas_core, score_genome
 
 
 def run_cli(args, env_seed=None):
@@ -75,6 +76,34 @@ def assert_replays(out, tmp_path, extra=()):
     assert replay.read_bytes() == out.read_bytes()
     replayed = json.loads(Path(str(replay) + ".manifest.json").read_text())
     assert replayed["config"] == json.loads(manifest.read_text())["config"]
+
+
+def _stage(channels, kernel, mode, stride=1, repeats=1):
+    return {"repeats": repeats, "channels": channels, "kernel": kernel,
+            "conv_mode": mode, "stride": stride}
+
+
+def _genome(family, stages, resolution, expansion=4):
+    return {"family": family, "stages": stages, "stem_channels": 16,
+            "num_classes": 4, "input_resolution": [resolution] * 2,
+            "expansion": expansion}
+
+
+DEPTHWISE = _genome("effnet_like", [_stage(32, 3, "depthwise", repeats=2),
+                                    _stage(64, 5, "depthwise", stride=2)], 16, 2)
+
+# genomes whose score must not depend on --threads, with extra score flags:
+# 64 channels at k=5 on 8x8 run GEMMs whose bytes depend on the BLAS thread
+# count under some OpenBLAS kernels (so scoring must pin BLAS whatever
+# --threads is); the depthwise tap-loop input gradient, with either
+# numerator; and 32 groups of 3 channels, at stride 1 and then 2
+THREAD_GENOMES = {
+    "regular": (_genome("resnet_like", [_stage(64, 5, "regular", repeats=2)], 8), []),
+    "depthwise": (DEPTHWISE, []),
+    "depthwise_signed": (DEPTHWISE, ["--stat-mode", "signed"]),
+    "grouped": (_genome("resnet_like", [_stage(96, 3, "group"),
+                                        _stage(96, 5, "group", stride=2)], 8), []),
+}
 
 
 class TestScore:
@@ -206,20 +235,14 @@ class TestScore:
         assert replay.read_bytes() == out.read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
-        # 64 channels at k=5 on 8x8 run GEMMs whose bytes depend on the BLAS
-        # thread count under some OpenBLAS kernels, so this also checks
-        # that scoring pins BLAS whatever --threads is
-        stage = {"repeats": 2, "channels": 64, "kernel": 5,
-                 "conv_mode": "regular", "stride": 1}
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps({
-            "family": "resnet_like", "stages": [stage], "stem_channels": 16,
-            "num_classes": 4, "input_resolution": [8, 8], "expansion": 4}))
-        outs = [run_cli(["score", str(path), "--seed", "1", "--threads", t,
-                         "--batches", "2", "--batch-size", "3"])
-                for t in ("1", "2", "8")]
-        assert outs[0][0] == 0
-        assert outs[0][1] == outs[1][1] == outs[2][1]
+        for case, (genome, extra) in THREAD_GENOMES.items():
+            path = tmp_path / f"{case}.json"
+            path.write_text(json.dumps(genome))
+            outs = [run_cli(["score", str(path), "--seed", "1", "--threads", t,
+                             "--batches", "2", "--batch-size", "3", *extra])
+                    for t in ("1", "2", "8")]
+            assert outs[0][0] == 0, (case, outs[0][2])
+            assert outs[0][1] == outs[1][1] == outs[2][1], case
 
     def test_replay_keeps_a_dash_path_positional(self, genome_file, tmp_path, monkeypatch):
         path, _ = genome_file
@@ -504,6 +527,68 @@ class TestValidation:
         assert stdout == b""
         assert b"No such file or directory" in err and b"none.manifest.json" in err
         assert b"Traceback" not in err
+
+
+class RuntimeSurprise(RuntimeError):
+    """A runtime failure that cli.py has never heard of."""
+
+
+class TestFailureExitCodes:
+    @pytest.mark.parametrize("failure", [RuntimeSurprise, MemoryError])
+    def test_runtime_or_memory_error_exits_3_in_one_line(self, failure, genome_file,
+                                                          monkeypatch):
+        def fail(*args, **kwargs):
+            raise failure("Unable to allocate 288. GiB")
+
+        monkeypatch.setattr(cli, "score_genome", fail)
+        path, _ = genome_file
+        code, out, err = run_cli(["score", str(path), *FAST])
+        assert code == 3
+        assert out == b""
+        assert err == b"error: Unable to allocate 288. GiB\n"
+
+
+def counting_scores(monkeypatch) -> list:
+    """Make cli.score_genome count its calls into the returned list."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return score_genome(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "score_genome", counting)
+    return calls
+
+
+# (flag, the path it is given, relative to the test's directory)
+UNWRITABLE = [("--log", "missing/log.jsonl"), ("--out", "missing/a.json"),
+              ("--log", "."), ("--out", "."), ("--out", "a.json/b.json")]
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("flag, target", UNWRITABLE)
+    def test_search_refuses_before_scoring(self, flag, target, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("a.json").write_text("a file, so no directory\n")
+        paths = {"--out": "out.json", "--log": "log.jsonl", flag: target}
+        calls = counting_scores(monkeypatch)
+        code, out, err = run_cli([*SEARCH_FAST, "--out", paths["--out"],
+                                  "--log", paths["--log"]])
+        assert code == 2, err.decode()
+        assert err.startswith(f"error: {flag}: ".encode())
+        assert out == b"" and calls == []
+        assert not Path("out.json").exists() and not Path("log.jsonl").exists()
+        assert not Path("out.json.manifest.json").exists()
+
+    def test_replay_refuses_before_scoring(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli([*SEARCH_FAST, "--out", "a.json"])[0] == 0
+        calls = counting_scores(monkeypatch)
+        code, out, err = run_cli(["replay", "a.json.manifest.json", "--out", "b.json",
+                                  "--log", "missing/log.jsonl"])
+        assert code == 2, err.decode()
+        assert err.startswith(b"error: --log: ")
+        assert out == b"" and calls == [] and not Path("b.json").exists()
 
 
 # a live command line given after "replay {manifest}" of a score run, and

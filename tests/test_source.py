@@ -1,7 +1,9 @@
 """Guards on the source tree itself: no production code that only tests call,
-no second list of names at the package root, and no import up the layers."""
+no second list of names at the package root, no import up the layers, and
+no exception class whose exit code its base leaves open."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import zicobc
@@ -78,3 +80,19 @@ def test_modules_import_only_downward():
                 if LAYERS[imported] >= LAYERS[path.stem]:
                     upward.append(f"{path.stem} imports {imported} (line {node.lineno})")
     assert not upward, upward
+
+
+def test_every_exception_class_is_a_value_or_runtime_error():
+    """`cli.main` exits 2 on a ValueError and 3 on a RuntimeError, and holds
+    no list of classes, so each exception class of src/ derives from exactly
+    one of the two."""
+    classes = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"zicobc.{path.stem}".removesuffix(".__init__"))
+        classes += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__]
+    assert classes
+    both_or_neither = [cls.__qualname__ for cls in classes
+                       if issubclass(cls, ValueError) == issubclass(cls, RuntimeError)]
+    assert not both_or_neither, both_or_neither
