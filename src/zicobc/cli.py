@@ -184,7 +184,8 @@ def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: available cores): search and "
                         "correlate score one candidate per worker, score splits "
-                        "each conv's samples over them; each runs "
+                        "its candidate's array work by sample over them, the "
+                        "calling thread being one; each runs "
                         "single-threaded BLAS while the pool is up; never "
                         "affects results")
 
@@ -208,9 +209,11 @@ def _resolve_common(args: argparse.Namespace) -> None:
             args.threads = os.cpu_count() or 1
         elif args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    # checked before any work, so no run is lost at the end for want of a file
-    for flag in ("out", "log"):
-        path = getattr(args, flag, None)
+    # checked before any work, so no run is lost at the end for want of a
+    # file; --out also names the manifest written next to it
+    out = getattr(args, "out", None)
+    for flag, path in (("out", out), ("out", out and f"{out}.manifest.json"),
+                       ("log", getattr(args, "log", None))):
         if not path:
             continue
         target = Path(path)

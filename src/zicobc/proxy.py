@@ -15,6 +15,7 @@ import contextlib
 import ctypes
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator
@@ -175,7 +176,7 @@ def gather_gradient_stats(graph: LayerGraph, batches, mode: str = "abs",
     the unbiased (B - 1 denominator) estimator over signed gradients.
     `mode` selects whether the numerator mean is taken over absolute
     gradient values (default) or signed ones. Every batch's tape splits
-    its conv kernels by sample over `pool` when one is given.
+    its array work by sample over `pool` when one is given.
     """
     batches = list(batches)
     if len(batches) < 2:
@@ -270,16 +271,17 @@ def score_genome(genome: Genome, settings: ScoreSettings,
     """Compile, initialize, gather gradient statistics, and score one genome.
 
     Gradients are gathered with BLAS at one thread. With threads > 1, one
-    pool of that many workers serves all B batches, and each conv splits
-    its kernels by sample over it. The score is the same bytes at any
-    thread count.
+    pool serves all B batches, and each tape splits its array work by
+    sample `threads` ways over it, the calling thread taking one share.
+    The score is the same bytes at any thread count.
     """
     if settings.resolution is not None:
         genome = replace(genome, input_resolution=settings.resolution)
     graph = init_weights(compile_genome(genome), settings.seed)
     batches = make_batches(graph, settings.batches, settings.batch_size,
                            seed=settings.seed)
-    with worker_pool(threads) as pool:
+    with (_one_blas_thread(),
+          WorkerPool(threads) if threads > 1 else contextlib.nullcontext() as pool):
         stats = gather_gradient_stats(graph, batches, mode=settings.stat_mode,
                                       pool=pool)
     return zico_bc_score(stats, graph, settings.beta)
@@ -288,39 +290,34 @@ def score_genome(genome: Genome, settings: ScoreSettings,
 def parallel_map(fn: Callable, items, threads: int) -> list:
     """`[fn(item) for item in items]`, on up to `threads` worker threads.
 
-    Results keep item order. One thread or one item runs inline and
-    leaves BLAS's thread count alone.
+    Results keep item order. The workers run BLAS at one thread. One
+    thread or one item runs inline and leaves BLAS's thread count alone.
     """
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with worker_pool(threads) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(threads) as pool:
         return list(pool.map(fn, items))
 
 
 @contextlib.contextmanager
-def worker_pool(threads: int) -> Iterator[WorkerPool | None]:
-    """numpy's bundled OpenBLAS at one thread, and a pool of `threads` workers.
+def _one_blas_thread() -> Iterator[None]:
+    """numpy's bundled OpenBLAS at one thread, for the life of the context.
 
-    For one thread no pool is started (None is yielded), but BLAS is
-    pinned all the same: OpenBLAS picks its kernels by its thread count,
-    and some GEMM shapes give other bytes at two threads than at one. In
-    a pool the workers share the cores instead of each starting BLAS
-    threads of its own. The previous count is restored on exit, also on
-    an exception. The count is process-wide, so run one pool at a time;
-    a pool opened inside another's workers finds BLAS at one thread
-    already and leaves it alone.
+    OpenBLAS picks its kernels by its thread count, and some GEMM shapes
+    give other bytes at two threads than at one, so scoring pins it even
+    without a pool. In a pool the workers share the cores instead of each
+    starting BLAS threads of its own. The previous count is restored on
+    exit, also on an exception. The count is process-wide, so run one
+    pool at a time; a pool opened inside another's workers finds BLAS at
+    one thread already and leaves it alone.
     """
     get, set_ = _openblas()
     saved = get()
     if saved != 1:
         set_(1)
     try:
-        if threads <= 1:
-            yield None
-        else:
-            with WorkerPool(threads) as pool:
-                yield pool
+        yield
     finally:
         if saved != 1:
             set_(saved)

@@ -13,7 +13,7 @@ parallel on other tapes and of how many workers a tape's own pool has.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
 import numpy as np
@@ -68,10 +68,14 @@ class Tensor:
 
 
 class WorkerPool(ThreadPoolExecutor):
-    """A thread pool that knows how many workers it has."""
+    """A pool that splits work `workers` ways, `workers` >= 2.
+
+    It holds workers - 1 threads: the thread that splits work over the
+    pool is the last worker, and runs a share of every split itself.
+    """
 
     def __init__(self, workers: int) -> None:
-        super().__init__(max_workers=workers)
+        super().__init__(max_workers=workers - 1)
         self.workers = workers
 
 
@@ -123,13 +127,17 @@ class Tape:
     computed. Backward consumes the tape, freeing each record once its
     rule has run, so a second backward raises TapeError.
 
-    Given a pool, a conv runs each of its two kernels (forward, then the
-    gradients) per sample on it: each worker takes one contiguous run of
-    samples, one sample at a time, and writes disjoint slices of
-    preallocated results. Every other op, and every Tape method, runs
-    whole-batch on the calling thread. Without a pool each kernel is one
-    numpy call over the whole batch. Per-sample products are the same
-    GEMMs and sums as whole-batch ones, so both give the same bytes.
+    Given a pool, the array work splits into contiguous sample ranges, one
+    per worker, and the calling thread runs the first range itself. A
+    conv's two kernels (the forward with its padding, then the gradients)
+    run one sample at a time within a range; ReLU (both passes) and
+    residual_add run each range in one call. Each range writes disjoint
+    slices of preallocated results. Pooling, the dense head, the loss,
+    the sum of a conv's weight products and the adjoint accumulation stay
+    whole-batch on the calling thread, and so does every Tape method:
+    only the array work inside a call moves. Without a pool each kernel
+    is one numpy call over the whole batch. Per-sample products are the
+    same GEMMs and sums as whole-batch ones, so both give the same bytes.
     """
 
     def __init__(self, pool: WorkerPool | None = None) -> None:
@@ -169,21 +177,28 @@ class Tape:
                 f"gives non-positive output extent")
 
         pool = self._pool  # the closures below must not hold the tape
-        xp = _pad(x.data, padding, padding)
         L = h_out * w_out
         ckk = c_in_g * kh * kw
         c_out_g = c_out // groups
 
-        def columns(lo: int, hi: int) -> np.ndarray:
+        def columns(xp: np.ndarray) -> np.ndarray:
             # rebuilt for the weight gradient rather than kept on the tape:
             # same values, same GEMM, same bytes
-            return _im2col(xp[lo:hi], kh, kw, stride, h_out, w_out).reshape(
-                hi - lo, groups, ckk, L)
+            return _im2col(xp, kh, kw, stride, h_out, w_out).reshape(
+                len(xp), groups, ckk, L)
 
         w_g = weight.data.reshape(groups, c_out_g, ckk)
-        out, = _by_sample(
-            pool, lambda lo, hi, out: [np.matmul(w_g[None], columns(lo, hi), out=out)],
-            (n, groups, c_out_g, L))
+
+        def forward(lo: int, hi: int, out: np.ndarray | None,
+                    xp: np.ndarray | None = None) -> list[np.ndarray]:
+            # each range pads its own samples, into xp when it is given
+            xp = _pad(x.data[lo:hi], padding, padding, out=xp)
+            return [np.matmul(w_g[None], columns(xp), out=out), xp]
+
+        padded = (n, c_in, h + 2 * padding, w + 2 * padding)
+        out, *xp = _by_sample(pool, forward, (n, groups, c_out_g, L),
+                              *[padded] * (padding > 0))
+        xp = xp[0] if padding else x.data
         result = Tensor(out.reshape(n, c_out, h_out, w_out))
 
         if stride == 1 and padding < min(kh, kw):  # every compiled stride-1 conv
@@ -195,12 +210,16 @@ class Tape:
             def kernel(lo: int, hi: int, products: np.ndarray | None,
                        gxp: np.ndarray | None = None) -> list[np.ndarray]:
                 go_g = go[lo:hi].reshape(hi - lo, groups, c_out_g, L)
-                products = np.matmul(go_g, columns(lo, hi).transpose(0, 1, 3, 2),
+                products = np.matmul(go_g, columns(xp[lo:hi]).transpose(0, 1, 3, 2),
                                      out=products)
                 if not wanted[0]:
                     return [products]
+                # the one kernel that accumulates into its out, so the one
+                # that zeroes it
                 if gxp is None:
                     gxp = np.zeros(xp.shape)
+                else:
+                    gxp.fill(0.0)
                 if groups == c_in == c_out:
                     # depthwise: the GEMM's inner dimension is 1, so each
                     # column entry is one exact product; adding the taps in
@@ -226,9 +245,18 @@ class Tape:
         return result
 
     def relu(self, x: Tensor) -> Tensor:
-        out = Tensor(np.maximum(x.data, 0.0))
-        mask = x.data > 0.0
-        self._record(out, [x], [], lambda go, wanted: [go * mask])
+        pool = self._pool  # the rule below must not hold the tape
+        data, mask = _pointwise(
+            pool, lambda x, out, mask: (np.maximum(x, 0.0, out=out),
+                                        np.greater(x, 0.0, out=mask)),
+            [x.data], [np.float64, bool])
+        out = Tensor(data)
+
+        def rule(go: np.ndarray, wanted: list[bool]) -> list[np.ndarray]:
+            return _pointwise(pool, lambda go, mask, gx: np.multiply(go, mask, out=gx),
+                              [go, mask], [np.float64])
+
+        self._record(out, [x], [], rule)
         return out
 
     def global_avg_pool(self, x: Tensor) -> Tensor:
@@ -271,7 +299,9 @@ class Tape:
         if a.shape != b.shape:
             raise ShapeMismatchError(
                 f"residual_add: operand shapes {a.shape} and {b.shape} differ")
-        out = Tensor(a.data + b.data)
+        data, = _pointwise(self._pool, lambda a, b, out: np.add(a, b, out=out),
+                           [a.data, b.data], [np.float64])
+        out = Tensor(data)
         self._record(out, [a, b], [], lambda go, wanted: [go, go])
         return out
 
@@ -364,28 +394,62 @@ class Tape:
         self._records.append((output.node, keys, rule))
 
 
+def _split(pool: WorkerPool | None, n: int, run: Callable[[int, int], object]) -> None:
+    """Call `run(lo, hi)` over contiguous sample ranges that cover [0, n).
+
+    Without a pool it is one call over [0, n). With one, the batch splits
+    into min(pool.workers, n) ranges: the pool's threads take all but the
+    first, and the calling thread runs the first and then waits for the
+    rest. It waits for them also when its own range raises, so no worker
+    still writes into a result once this returns or raises.
+    """
+    if pool is None:
+        run(0, n)
+        return
+    runs = min(pool.workers, n)
+    bounds = [n * r // runs for r in range(runs + 1)]
+    futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        run(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _by_sample(pool: WorkerPool | None, kernel: Callable,
                *shapes: tuple[int, ...]) -> list[np.ndarray]:
     """The (n, ...) results of `kernel(lo, hi, *outs)` over samples [lo, hi).
 
     The kernel returns one array per shape. Without a pool it runs once
     over the whole batch with every out None and allocates its results.
-    With one, each out is a zeroed one-sample slice of a preallocated
-    result: each worker takes one contiguous run of samples and calls the
+    With one, each out is a one-sample slice of an uninitialised result,
+    which the kernel must write whole: the ranges of `_split` call the
     kernel one sample at a time, so temporaries stay one sample in size.
     """
     n = shapes[0][0]
     if pool is None:
         return kernel(0, n, *[None] * len(shapes))
-    outs = [np.zeros(shape) for shape in shapes]
+    outs = [np.empty(shape) for shape in shapes]
 
     def run(lo: int, hi: int) -> None:
         for s in range(lo, hi):
             kernel(s, s + 1, *[out[s:s + 1] for out in outs])
 
-    runs = min(pool.workers, n)
-    bounds = [n * r // runs for r in range(runs + 1)]
-    list(pool.map(run, bounds[:-1], bounds[1:]))
+    _split(pool, n, run)
+    return outs
+
+
+def _pointwise(pool: WorkerPool | None, kernel: Callable, operands: list[np.ndarray],
+               dtypes: list[type]) -> list[np.ndarray]:
+    """New arrays shaped like the operands, one per dtype.
+
+    `kernel(*operands, *outs)` runs on the same sample range of every
+    operand and out, once per range of `_split`, and writes each out whole.
+    """
+    outs = [np.empty(operands[0].shape, dtype) for dtype in dtypes]
+    rows = [np.atleast_1d(a) for a in operands + outs]  # a 0-d tensor is one sample
+    _split(pool, len(rows[0]), lambda lo, hi: kernel(*[a[lo:hi] for a in rows]))
     return outs
 
 
@@ -439,15 +503,19 @@ def _gathered_rule(pool: WorkerPool | None, xp: np.ndarray, weight: np.ndarray,
     return rule
 
 
-def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+def _pad(a: np.ndarray, ph: int, pw: int, out: np.ndarray | None = None) -> np.ndarray:
     """`a` (n, c, h, w) zero-padded by ph rows and pw columns on each side.
 
-    The bytes of np.pad's constant mode, without its per-call overhead.
+    The bytes of np.pad's constant mode, without its per-call overhead,
+    written into `out` when it is given and else into a new array.
     """
     if not (ph or pw):
         return a
     n, c, h, w = a.shape
-    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+    if out is None:
+        out = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+    else:
+        out.fill(0.0)
     out[:, :, ph:ph + h, pw:pw + w] = a
     return out
 

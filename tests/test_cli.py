@@ -240,9 +240,9 @@ class TestScore:
             path.write_text(json.dumps(genome))
             outs = [run_cli(["score", str(path), "--seed", "1", "--threads", t,
                              "--batches", "2", "--batch-size", "3", *extra])
-                    for t in ("1", "2", "8")]
+                    for t in ("1", "2", "3", "8")]
             assert outs[0][0] == 0, (case, outs[0][2])
-            assert outs[0][1] == outs[1][1] == outs[2][1], case
+            assert outs[0][1] == outs[1][1] == outs[2][1] == outs[3][1], case
 
     def test_replay_keeps_a_dash_path_positional(self, genome_file, tmp_path, monkeypatch):
         path, _ = genome_file
@@ -579,6 +579,17 @@ class TestUnwritableOutput:
         assert out == b"" and calls == []
         assert not Path("out.json").exists() and not Path("log.jsonl").exists()
         assert not Path("out.json.manifest.json").exists()
+
+    def test_score_refuses_a_manifest_path_that_is_a_directory(self, genome_file,
+                                                                tmp_path, monkeypatch):
+        path, _ = genome_file
+        monkeypatch.chdir(tmp_path)
+        Path("a.json.manifest.json").mkdir()
+        calls = counting_scores(monkeypatch)
+        code, out, err = run_cli(["score", str(path), *FAST, "--out", "a.json"])
+        assert code == 2, err.decode()
+        assert err == b"error: --out: a.json.manifest.json is a directory\n"
+        assert out == b"" and calls == [] and not Path("a.json").exists()
 
     def test_replay_refuses_before_scoring(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

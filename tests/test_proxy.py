@@ -1,7 +1,10 @@
 import dataclasses
+import functools
+import inspect
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -435,3 +438,27 @@ class TestScoreGenomeThreads:
             score_genome(genome, ScoreSettings(batches=2, batch_size=2), threads=threads)
             assert blas_threads() == 2
         assert seen == [(1, threads > 1)]
+
+
+class TestPooledTapeThread:
+    def test_every_tape_call_stays_on_the_scoring_thread(self, monkeypatch):
+        """perfbench's traced run wraps Tape methods as this test does and keys
+        each span to its candidate by thread, so a pooled candidate must make
+        every call into its tape on the thread that scores it (ROADMAP item 1);
+        only the array work inside a call may run on the pool."""
+        calls = []
+
+        def on_thread(name, method):
+            @functools.wraps(method)
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return method(*args, **kwargs)
+            return wrapper
+
+        methods = [name for name, fn in vars(Tape).items() if inspect.isfunction(fn)]
+        for name in methods:
+            monkeypatch.setattr(Tape, name, on_thread(name, getattr(Tape, name)))
+        genome = random_genome(np.random.default_rng(95), family="resnet_like")
+        score_genome(genome, ScoreSettings(batches=2, batch_size=4), threads=3)
+        assert {name for name, _ in calls} == set(methods)
+        assert {ident for _, ident in calls} == {threading.get_ident()}

@@ -1,5 +1,7 @@
 import concurrent.futures
 import math
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -382,7 +384,12 @@ class TestColumnFreeConv:
 
 
 def _pooled_grads(groups, stride, kernel, batch, pool):
-    """Loss and parameter-gradient bytes of a two-conv net on Tape(pool)."""
+    """Loss and parameter-gradient bytes of a two-conv net on Tape(pool).
+
+    Both convs pad in their forward kernels; the second is followed by a
+    residual add and ReLUs, and at stride 2 its input gradient is the one
+    that accumulates into a result it must zero first.
+    """
     rng = np.random.default_rng([groups, stride, kernel, batch])
     x = Tensor(rng.normal(size=(batch, 3, 8, 8)))
     w1 = Tensor(rng.normal(size=(12, 3, 3, 3)))
@@ -392,14 +399,15 @@ def _pooled_grads(groups, stride, kernel, batch, pool):
     tape = Tape(pool)
     h = tape.relu(tape.conv2d(x, w1, padding=1))
     h = tape.conv2d(h, w2, stride=stride, padding=kernel // 2, groups=groups)
-    logits = tape.dense(tape.global_avg_pool(tape.relu(h)), wd)
+    h = tape.relu(tape.residual_add(h, tape.relu(h)))
+    logits = tape.dense(tape.global_avg_pool(h), wd)
     loss = tape.cross_entropy_loss(logits, labels)
     tape.backward(loss)
     return [loss.data.tobytes()] + [tape.grad(w).data.tobytes() for w in (w1, w2, wd)]
 
 
 class TestWorkerPool:
-    """A tape that splits its conv kernels by sample gives the same bytes."""
+    """A tape that splits its array work by sample gives the same bytes."""
 
     @pytest.mark.parametrize("kernel", [3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -410,6 +418,35 @@ class TestWorkerPool:
                 unpooled = _pooled_grads(groups, stride, kernel, batch, None)
                 for pool in (two, eight):
                     assert _pooled_grads(groups, stride, kernel, batch, pool) == unpooled
+            # a pooled result is allocated uninitialised; freed NaNs of the
+            # padded shapes make one that a kernel leaves partly unwritten
+            # likely to show as a mismatch
+            pad = kernel // 2
+            for shape in ((8, 3, 10, 10), (8, 12, 8 + 2 * pad, 8 + 2 * pad)):
+                np.full(shape, np.nan)
+            assert _pooled_grads(groups, stride, kernel, 8, two) == unpooled
+
+    def test_calling_thread_runs_the_first_range(self):
+        ranges = {}
+        with WorkerPool(3) as pool:  # two threads and the caller
+            tensor_module._split(pool, 7, lambda lo, hi: ranges.update(
+                {(lo, hi): threading.get_ident()}))
+        assert sorted(ranges) == [(0, 2), (2, 4), (4, 7)]
+        assert ranges[0, 2] == threading.get_ident()
+
+    def test_caller_waits_for_the_other_ranges_when_its_own_raises(self):
+        done = []
+
+        def run(lo, hi):
+            if lo == 0:
+                raise ValueError("the caller's range")
+            time.sleep(0.05)
+            done.append((lo, hi))
+
+        with WorkerPool(2) as pool:
+            with pytest.raises(ValueError, match="the caller's range"):
+                tensor_module._split(pool, 2, run)
+            assert done == [(1, 2)]
 
 
 class TestFiniteDifferenceOracle:
