@@ -3,9 +3,10 @@
 Outputs are machine-first: primary results go to standard output (or
 --out) as JSON/CSV; human-oriented summaries go to standard error. Every
 run with --out also writes a manifest (<out>.manifest.json) recording the
-fully resolved configuration, seeds, tool version, and input digests;
-`replay MANIFEST` reruns it and reproduces the output byte for byte, and
-takes no option but --out and --log.
+fully resolved configuration, seeds, tool version, and the digests of its
+input files, taken when the run starts; `replay MANIFEST` reruns it and
+reproduces the output byte for byte, and takes no option but --out and
+--log. No output may name an input file or another output.
 Exit codes: 0 success; 2 for a usage error or a `ValueError` or `OSError`
 (bad input); 3 for a `RuntimeError` or `MemoryError` (valid input that
 failed while running). An exception's class decides its exit code.
@@ -56,6 +57,11 @@ class ManifestError(ValueError):
     """Replay manifest is malformed or its inputs changed on disk."""
 
 
+class InputPath(str):
+    """The type of an argument naming a file the subcommand reads: a run
+    with --out records its digest, and no output may name it."""
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -78,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser(
         "score", help="score one genome and print the proxy JSON")
-    p_score.add_argument("genome", help="genome JSON file")
+    p_score.add_argument("genome", type=InputPath, help="genome JSON file")
     _add_proxy_flags(p_score)
     _add_threads_flag(p_score)
     _add_common_flags(p_score)
@@ -93,27 +99,30 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stage channel choices (default: %(default)s)")
     p_search.add_argument("--repeats", default="1,2,3,4",
                           help="stage repeat choices (default: %(default)s)")
-    p_search.add_argument("--kernels", default="3,5",
+    p_search.add_argument("--kernels", default=_joined(GenomeSpace.kernel_choices),
                           help="kernel size choices (default: %(default)s)")
-    p_search.add_argument("--conv-modes", default="regular,group",
+    p_search.add_argument("--conv-modes", default=_joined(GenomeSpace.conv_modes),
                           help="convolution mode choices (default: %(default)s)")
-    p_search.add_argument("--expansions", default="4",
+    p_search.add_argument("--expansions", default=_joined(GenomeSpace.expansion_choices),
                           help="effnet_like expansion choices; resnet_like takes "
                                "only 4 (default: %(default)s)")
-    p_search.add_argument("--stem-channels", type=int, default=16,
+    p_search.add_argument("--stem-channels", type=int, default=GenomeSpace.stem_channels,
                           help="stem width (default: %(default)s)")
-    p_search.add_argument("--num-classes", type=int, default=10,
+    p_search.add_argument("--num-classes", type=int, default=GenomeSpace.num_classes,
                           help="classifier classes (default: %(default)s)")
-    p_search.add_argument("--population", type=int, default=64,
+    p_search.add_argument("--population", type=int, default=SearchConfig.population,
                           help="population size, even (default: %(default)s)")
-    p_search.add_argument("--generations", type=int, default=100,
+    p_search.add_argument("--generations", type=int, default=SearchConfig.generations,
                           help="generations to evolve (default: %(default)s)")
-    p_search.add_argument("--mutation-rate", type=float, default=0.9,
+    p_search.add_argument("--mutation-rate", type=float,
+                          default=SearchConfig.mutation_rate,
                           help="per-child mutation probability (default: %(default)s)")
-    p_search.add_argument("--crossover-rate", type=float, default=0.5,
+    p_search.add_argument("--crossover-rate", type=float,
+                          default=SearchConfig.crossover_rate,
                           help="per-pair crossover probability (default: %(default)s)")
     _add_latency_flags(p_search, "--latency-table")
-    p_search.add_argument("--latency-ceiling-us", type=float, default=None,
+    p_search.add_argument("--latency-ceiling-us", type=float,
+                          default=SearchConfig.latency_ceiling_us,
                           help="hard feasibility ceiling in microseconds "
                                "(default: none)")
     p_search.add_argument("--log", default=None,
@@ -124,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corr = sub.add_parser(
         "correlate", help="rank-correlate proxy scores with recorded accuracies")
-    p_corr.add_argument("--records", required=True,
+    p_corr.add_argument("--records", type=InputPath, required=True,
                         help="JSONL benchmark records: {id, genome, test_accuracy}")
     _add_proxy_flags(p_corr)
     _add_threads_flag(p_corr)
@@ -132,14 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lat = sub.add_parser(
         "latency", help="estimate one genome's latency from a lookup table")
-    p_lat.add_argument("genome", help="genome JSON file")
+    p_lat.add_argument("genome", type=InputPath, help="genome JSON file")
     _add_latency_flags(p_lat, "--table")
     _add_common_flags(p_lat)
 
     p_plot = sub.add_parser(
         "pareto-plotdata",
         help="flatten an archive JSON into depth/width/score/latency CSV")
-    p_plot.add_argument("archive", help="archive JSON file from `search`")
+    p_plot.add_argument("archive", type=InputPath, help="archive JSON file from `search`")
     _add_common_flags(p_plot)
 
     for name, func in _COMMANDS.items():
@@ -147,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser(
         "replay", help="rerun a manifest, reproducing its output byte for byte")
-    p_replay.add_argument("manifest", help="manifest JSON written next to an --out file")
+    p_replay.add_argument("manifest", type=InputPath,
+                          help="manifest JSON written next to an --out file")
     _add_common_flags(p_replay)
     p_replay.add_argument("--log", default=None,
                           help="write the log here; search manifests only (default: none)")
@@ -156,24 +166,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_proxy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, default=1.0,
+    p.add_argument("--beta", type=float, default=ScoreSettings.beta,
                    help="depth-width penalty weight; 1 suits classification and "
                         "detection, 2 suits segmentation (default: %(default)s)")
-    p.add_argument("--batches", type=int, default=8,
+    p.add_argument("--batches", type=int, default=ScoreSettings.batches,
                    help="gradient batches per score (default: %(default)s)")
-    p.add_argument("--batch-size", type=int, default=8,
+    p.add_argument("--batch-size", type=int, default=ScoreSettings.batch_size,
                    help="samples per batch (default: %(default)s)")
-    p.add_argument("--stat-mode", choices=STAT_MODES, default="abs",
+    p.add_argument("--stat-mode", choices=STAT_MODES, default=ScoreSettings.stat_mode,
                    help="gradient mean numerator (default: %(default)s)")
     p.add_argument("--resolution", default=None,
                    help="input resolution HxW (default: the genome's own value; "
-                        "search uses 32x32)")
+                        f"search uses {_joined(GenomeSpace.input_resolution, 'x')})")
     p.add_argument("--seed", type=int, default=None,
-                   help="master seed; falls back to $ZICO_BC_SEED, then 0")
+                   help="master seed; falls back to $ZICO_BC_SEED, then "
+                        f"{ScoreSettings.seed}")
+
+
+def _joined(values, sep: str = ",") -> str:
+    """A tuple default as the text its flag takes."""
+    return sep.join(map(str, values))
 
 
 def _add_latency_flags(p: argparse.ArgumentParser, table_flag: str) -> None:
-    p.add_argument(table_flag, default=None,
+    p.add_argument(table_flag, type=InputPath, default=None,
                    help="CSV latency table path (default: none)")
     p.add_argument("--fallback-us-per-mac", type=float, default=0.001,
                    help="microseconds per MAC for missing table entries "
@@ -198,7 +214,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _resolve_common(args: argparse.Namespace) -> None:
     if "seed" in args and args.seed is None:
-        env_seed = os.environ.get("ZICO_BC_SEED", "0")
+        env_seed = os.environ.get("ZICO_BC_SEED", str(ScoreSettings.seed))
         try:
             args.seed = int(env_seed)
         except ValueError:
@@ -210,10 +226,15 @@ def _resolve_common(args: argparse.Namespace) -> None:
         elif args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
     # checked before any work, so no run is lost at the end for want of a
-    # file; --out also names the manifest written next to it
+    # file, and none overwrites a file it reads or writes; --out also names
+    # the manifest written next to it
+    inputs = {dest: path for dest, path in vars(args).items()
+              if isinstance(path, InputPath) and path}
+    taken = {_file_identity(path): f"the {dest} input" for dest, path in inputs.items()}
     out = getattr(args, "out", None)
-    for flag, path in (("out", out), ("out", out and f"{out}.manifest.json"),
-                       ("log", getattr(args, "log", None))):
+    for flag, path, what in (("out", out, "output"),
+                             ("out", out and f"{out}.manifest.json", "manifest"),
+                             ("log", getattr(args, "log", None), "output")):
         if not path:
             continue
         target = Path(path)
@@ -223,24 +244,36 @@ def _resolve_common(args: argparse.Namespace) -> None:
             raise ValueError(f"--{flag}: {target.parent} is not a directory")
         if not os.access(target if target.exists() else target.parent, os.W_OK):
             raise ValueError(f"--{flag}: {path} is not writable")
+        identity = _file_identity(path)
+        if identity in taken:
+            raise ValueError(f"--{flag}: {path} would overwrite {taken[identity]}")
+        taken[identity] = f"the --{flag} {what}"
+    if out:  # the files as the run reads them, not as they are at its end
+        args.input_digests = {path: _sha256_file(path) for path in inputs.values()}
+
+
+def _file_identity(path: str):
+    """The file a path names: its device and inode, so a symlink or a hard
+    link is its target, or, while it does not exist, its resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)  # Path.resolve raises on a symlink loop
+    return st.st_dev, st.st_ino
 
 
 # -- manifest -----------------------------------------------------------------
 
-_NON_CONFIG_KEYS = ("func", "command", "out", "log")
+_NON_CONFIG_KEYS = ("func", "command", "out", "log", "input_digests")
 
 
-def _build_manifest(args: argparse.Namespace, input_paths: list[str]) -> dict:
+def _build_manifest(args: argparse.Namespace) -> dict:
     config = {k: v for k, v in vars(args).items() if k not in _NON_CONFIG_KEYS}
-    digests = {}
-    for path in input_paths:
-        if path:
-            digests[str(path)] = _sha256_file(path)
     return {
         "subcommand": args.command,
         "tool_version": __version__,
         "config": config,
-        "input_digests": digests,
+        "input_digests": args.input_digests,
         "environment": _environment(getattr(args, "threads", None)),
     }
 
@@ -339,10 +372,10 @@ def _warn_environment_drift(recorded) -> None:
                       f"their last bits", file=sys.stderr)
 
 
-def _emit(text: str, args: argparse.Namespace, input_paths: list[str]) -> None:
+def _emit(text: str, args: argparse.Namespace) -> None:
     if args.out:
         Path(args.out).write_text(text)
-        manifest = _build_manifest(args, input_paths)
+        manifest = _build_manifest(args)
         Path(str(args.out) + ".manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     else:
@@ -401,7 +434,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     genome = _read_genome(args.genome)
     settings = _score_settings(args)
     score = score_genome(genome, settings, threads=args.threads)
-    _emit(json.dumps(asdict(score), indent=2) + "\n", args, [args.genome])
+    _emit(json.dumps(asdict(score), indent=2) + "\n", args)
     print(f"zico={score.zico:.6f} penalty={score.penalty:.6f} "
           f"zico_bc={score.zico_bc:.6f} (beta={score.beta})", file=sys.stderr)
     return EXIT_OK
@@ -418,7 +451,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         expansion_choices=_parse_int_list(args.expansions, "--expansions"),
         stem_channels=args.stem_channels,
         num_classes=args.num_classes,
-        input_resolution=_parse_resolution(args.resolution) or (32, 32),
+        input_resolution=_parse_resolution(args.resolution) or GenomeSpace.input_resolution,
     )
     config = SearchConfig(
         population=args.population,
@@ -440,8 +473,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     archive, log = run_search(space, config, proxy_fn, latency_fn,
                               threads=args.threads,
                               progress=lambda msg: print(msg, file=sys.stderr))
-    inputs = [args.latency_table] if args.latency_table else []
-    _emit(json.dumps(archive.to_json_list(), indent=2) + "\n", args, inputs)
+    _emit(json.dumps(archive.to_json_list(), indent=2) + "\n", args)
     if args.log:
         with open(args.log, "w") as fh:
             for row in log:
@@ -456,7 +488,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     records = load_records(args.records)
     settings = _score_settings(args)
     report = run_correlation(records, settings, threads=args.threads)
-    _emit(json.dumps(report, indent=2) + "\n", args, [args.records])
+    _emit(json.dumps(report, indent=2) + "\n", args)
     print(f"tau={report['tau']:.4f} rho={report['rho']:.4f} n={report['n']}",
           file=sys.stderr)
     return EXIT_OK
@@ -467,8 +499,7 @@ def cmd_latency(args: argparse.Namespace) -> int:
     table = _latency_table(args.table, args.fallback_us_per_mac)
     graph = compile_genome(genome)
     result = estimate(graph, table)
-    inputs = [args.genome] + ([args.table] if args.table else [])
-    _emit(json.dumps(asdict(result), indent=2) + "\n", args, inputs)
+    _emit(json.dumps(asdict(result), indent=2) + "\n", args)
     print(f"total {result.total_us:.3f} us over {len(graph.layers)} layers "
           f"({result.misses} fallback)", file=sys.stderr)
     return EXIT_OK
@@ -501,7 +532,7 @@ def cmd_pareto_plotdata(args: argparse.Namespace) -> int:
         depth = sum(s.repeats for s in stages)
         width = sum(s.repeats * s.channels for s in stages) / depth
         lines.append(f"{depth},{width!r},{score!r},{latency!r}")
-    _emit("\n".join(lines) + "\n", args, [args.archive])
+    _emit("\n".join(lines) + "\n", args)
     print(f"{len(entries)} archive points", file=sys.stderr)
     return EXIT_OK
 

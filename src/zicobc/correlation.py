@@ -32,11 +32,14 @@ def _as_vector(name: str, values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise CorrelationError(f"{name} must be 1-d, got shape {arr.shape}")
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise CorrelationError(f"{name} must be finite, got {bad[0]}")
     return arr
 
 
 def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as 1-d float vectors of one length, at least 2."""
+    """x and y as finite 1-d float vectors of one length, at least 2."""
     xv = _as_vector("x", x)
     yv = _as_vector("y", y)
     if xv.size != yv.size:
@@ -186,8 +189,10 @@ def run_correlation(records: list[BenchmarkRecord], settings: ScoreSettings,
         else:
             scored.append((rec, score))
     if len(scored) < 2:
+        first = failures[0]  # at least 2 records, so at least one failed
         raise CorrelationError(
-            f"only {len(scored)} records scored successfully; cannot correlate")
+            f"only {len(scored)} of {len(records)} records scored successfully; "
+            f"cannot correlate; first failure, record {first['id']!r}: {first['error']}")
     proxy_values = [s.zico_bc for _, s in scored]
     accuracies = [r.test_accuracy for r, _ in scored]
     report = {

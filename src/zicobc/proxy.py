@@ -254,11 +254,15 @@ def zico_bc_score(stats: GradientStats, graph: LayerGraph, beta: float) -> Proxy
     penalty_terms = _penalty_terms(graph)
     zico = math.fsum(score_terms)
     penalty = math.fsum(penalty_terms)
+    zico_bc = zico - beta * penalty
+    if not (math.isfinite(zico) and math.isfinite(zico_bc)):
+        raise ProxyError(f"zico_bc = zico - beta * penalty is not finite: zico {zico}, "
+                         f"beta {beta}, penalty {penalty}")
     return ProxyScore(
         zico=zico,
         penalty=penalty,
         beta=beta,
-        zico_bc=zico - beta * penalty,
+        zico_bc=zico_bc,
         per_layer=[
             {"layer": layer.index, "score_term": s, "penalty_term": p}
             for layer, s, p in zip(graph.layers, score_terms, penalty_terms)

@@ -21,7 +21,8 @@ from zicobc.network import compile_genome, genome_to_json
 from zicobc.latency import CSV_FIELDS, LatencyTable, layer_key
 from zicobc import cli
 from zicobc.cli import main
-from zicobc.proxy import blas_core, score_genome
+from zicobc.proxy import ScoreSettings, blas_core, score_genome
+from zicobc.search import GenomeSpace, SearchConfig
 
 
 def run_cli(args, env_seed=None):
@@ -261,6 +262,25 @@ class TestScore:
         assert code == 2
         assert b"changed" in err
 
+    def test_manifest_digests_the_input_as_the_run_read_it(self, genome_file, tmp_path,
+                                                           monkeypatch):
+        path, genome = genome_file
+        read = hashlib.sha256(path.read_bytes()).hexdigest()
+
+        def rewriting(*args, **kwargs):  # the genome changes after it was read
+            path.write_text(genome_to_json(genome) + "\n")
+            return score_genome(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "score_genome", rewriting)
+        out = tmp_path / "score.json"
+        code, _, err = run_cli(["score", str(path), *FAST, "--out", str(out)])
+        assert code == 0, err.decode()
+        manifest = Path(str(out) + ".manifest.json")
+        assert json.loads(manifest.read_text())["input_digests"] == {str(path): read}
+        code, _, err = run_cli(["replay", str(manifest)])
+        assert code == 2
+        assert b"changed" in err
+
 
 SEARCH_FAST = ["search", "--family", "resnet_like", "--strides", "1",
                "--channels", "16,32", "--repeats", "1,2", "--kernels", "3",
@@ -347,6 +367,10 @@ BAD_INPUT_CASES = [
     (["score", "{genome}", "--beta", "-1"], b"beta"),
     (["score", "{genome}", "--beta", "nan"], b"beta"),
     (["score", "{genome}", "--beta", "inf"], b"beta"),
+    # finite, but its product with the genome's penalty overflows
+    (["score", "{genome}", "--beta", "1e308", *FAST], b"beta 1e+308, penalty"),
+    (["correlate", "--records", "{records}", "--beta", "1e308", *FAST],
+     b"first failure, record 'r0': zico_bc = zico - beta * penalty is not finite"),
     (["latency", "{genome}", "--fallback-us-per-mac", "nan"], b"fallback_us_per_mac"),
     ([*SEARCH_FAST, "--batches", "1"], b"batches"),
     ([*SEARCH_FAST, "--batch-size", "0"], b"batch_size"),
@@ -600,6 +624,56 @@ class TestUnwritableOutput:
         assert code == 2, err.decode()
         assert err.startswith(b"error: --log: ")
         assert out == b"" and calls == [] and not Path("b.json").exists()
+
+
+# a command line, with paths relative to the test's directory, one of whose
+# outputs names an input or another output; and the flag refused. g.json is
+# a genome, link.json a symlink to it and hard.json a hard link, t.csv a
+# latency table, r.jsonl a records file, a.json an archive, and p.json the
+# --out of a score run.
+OVERLAPS = {
+    "score_out_genome": (["score", "g.json", *FAST, "--out", "g.json"], "--out"),
+    "latency_out_table": (["latency", "g.json", "--table", "t.csv", "--out", "t.csv"],
+                          "--out"),
+    "correlate_out_records": (["correlate", "--records", "r.jsonl", *FAST,
+                               "--out", "r.jsonl"], "--out"),
+    "plotdata_out_archive": (["pareto-plotdata", "a.json", "--out", "a.json"], "--out"),
+    "search_log_table": ([*SEARCH_FAST, "--latency-table", "t.csv", "--log", "t.csv"],
+                         "--log"),
+    "search_log_out": ([*SEARCH_FAST, "--out", "s.json", "--log", "s.json"], "--log"),
+    "search_log_manifest": ([*SEARCH_FAST, "--out", "s.json",
+                             "--log", "s.json.manifest.json"], "--log"),
+    "out_symlink_to_genome": (["score", "g.json", *FAST, "--out", "link.json"], "--out"),
+    "out_hard_link_to_genome": (["score", "g.json", *FAST, "--out", "hard.json"], "--out"),
+    "replay_in_place": (["replay", "p.json.manifest.json", "--out", "p.json"], "--out"),
+}
+
+
+class TestOutputsNameNoInput:
+    @pytest.mark.parametrize("case", OVERLAPS)
+    def test_refused_before_any_work(self, case, genome_file, tmp_path, monkeypatch):
+        path, genome = genome_file
+        monkeypatch.chdir(tmp_path)
+        assert path == tmp_path / "g.json"
+        Path("link.json").symlink_to("g.json")
+        os.link("g.json", "hard.json")
+        save_table(LatencyTable(entries={layer_key(compile_genome(genome).layers[0]): 2.5}),
+                   Path("t.csv"))
+        Path("r.jsonl").write_text("".join(
+            json.dumps({"id": f"r{i}", "genome": genome_to_dict(genome),
+                        "test_accuracy": 50.0 + i}) + "\n" for i in range(3)))
+        Path("a.json").write_text(json.dumps([{"genome": genome_to_dict(genome),
+                                               "zico_bc": 8.0, "latency_us": 123.5}]))
+        assert run_cli(["score", "g.json", *FAST, "--out", "p.json"])[0] == 0
+        before = {p.name: (p.is_symlink(), p.read_bytes()) for p in tmp_path.iterdir()}
+        calls = counting_scores(monkeypatch)
+        argv, flag = OVERLAPS[case]
+        code, out, err = run_cli(argv)
+        assert code == 2, err.decode()
+        assert err.startswith(f"error: {flag}: ".encode()) and b"would overwrite" in err
+        assert out == b"" and calls == []
+        assert {p.name: (p.is_symlink(), p.read_bytes()) for p in tmp_path.iterdir()} \
+            == before
 
 
 # a live command line given after "replay {manifest}" of a score run, and
@@ -990,6 +1064,14 @@ class TestSearch:
         assert b"evaluator failed on genome" in err
         assert b'"family"' in err  # offending genome serialized in the message
 
+    def test_overflowing_score_exits_3_with_genome_and_beta(self, tmp_path):
+        out = tmp_path / "a.json"
+        code, _, err = run_cli([*SEARCH_FAST, "--beta", "1e308", "--out", str(out)])
+        assert code == 3
+        assert b"evaluator failed on genome" in err and b"beta 1e+308" in err
+        assert b"Traceback" not in err
+        assert not out.exists()
+
     def test_overflowing_latency_exits_3_with_genome(self, tmp_path):
         # a finite fallback rate whose price of a layer is not a finite float
         out = tmp_path / "a.json"
@@ -1237,3 +1319,66 @@ class TestHelp:
         code = main(["score", str(path), "--seed", "1", *FAST])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["beta"] == 1.0
+
+
+# (subcommand and its required arguments, the dest of a flag, the class and
+# field whose default the flag takes, another value for that field, and the
+# flag's default then)
+PROXY_FIELDS = [("beta", ScoreSettings, "beta", 2.5, 2.5),
+                ("batches", ScoreSettings, "batches", 5, 5),
+                ("batch_size", ScoreSettings, "batch_size", 3, 3),
+                ("stat_mode", ScoreSettings, "stat_mode", "signed", "signed")]
+FLAG_DEFAULTS = [
+    *((argv, *field) for argv in (["score", "g.json"], ["search"],
+                                  ["correlate", "--records", "r.jsonl"])
+      for field in PROXY_FIELDS),
+    *((["search"], *field) for field in [
+        ("population", SearchConfig, "population", 12, 12),
+        ("generations", SearchConfig, "generations", 7, 7),
+        ("mutation_rate", SearchConfig, "mutation_rate", 0.25, 0.25),
+        ("crossover_rate", SearchConfig, "crossover_rate", 0.75, 0.75),
+        ("latency_ceiling_us", SearchConfig, "latency_ceiling_us", 99.5, 99.5),
+        ("kernels", GenomeSpace, "kernel_choices", (7,), "7"),
+        ("conv_modes", GenomeSpace, "conv_modes", ("depthwise", "group"), "depthwise,group"),
+        ("expansions", GenomeSpace, "expansion_choices", (2, 6), "2,6"),
+        ("stem_channels", GenomeSpace, "stem_channels", 24, 24),
+        ("num_classes", GenomeSpace, "num_classes", 7, 7),
+    ]),
+]
+
+
+class TestDefaults:
+    """Each default the CLI shares with a library dataclass is read from its
+    field, so a changed library default reaches the CLI."""
+
+    @pytest.mark.parametrize("argv, dest, cls, field, value, expected", FLAG_DEFAULTS,
+                             ids=[f"{argv[0]}-{dest}" for argv, dest, *_ in FLAG_DEFAULTS])
+    def test_flag_default_is_the_field_default(self, argv, dest, cls, field, value,
+                                               expected, monkeypatch):
+        assert getattr(cls, field) != value
+        monkeypatch.setattr(cls, field, value)
+        assert getattr(cli.build_parser().parse_args(argv), dest) == expected
+
+    def test_seed_fallback_is_the_field_default(self, monkeypatch):
+        monkeypatch.delenv("ZICO_BC_SEED", raising=False)
+        monkeypatch.setattr(ScoreSettings, "seed", 41)
+        args = cli.build_parser().parse_args(["score", "g.json"])
+        cli._resolve_common(args)
+        assert args.seed == 41
+        code, out, _ = run_cli(["score", "--help"])
+        assert code == 0 and b"then 41" in out
+
+    def test_search_resolution_is_the_field_default(self, monkeypatch):
+        monkeypatch.setattr(GenomeSpace, "input_resolution", (16, 8))
+        spaces = []
+
+        def stopping(space, *args, **kwargs):
+            spaces.append(space)
+            raise RuntimeSurprise("stopped before the first generation")
+
+        monkeypatch.setattr(cli, "run_search", stopping)
+        code, _, err = run_cli([a for a in SEARCH_FAST if a not in ("--resolution", "8x8")])
+        assert code == 3, err.decode()
+        assert [space.input_resolution for space in spaces] == [(16, 8)]
+        code, out, _ = run_cli(["search", "--help"])
+        assert code == 0 and b"search uses 16x8" in out

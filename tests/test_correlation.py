@@ -105,6 +105,13 @@ class TestKendallTau:
         with pytest.raises(CorrelationError, match="at least 2"):
             kendall_tau([1], [1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_named(self, bad):
+        with pytest.raises(CorrelationError, match=f"x must be finite, got {bad}"):
+            kendall_tau([bad, 1, 2], [1, 2, 3])
+        with pytest.raises(CorrelationError, match=f"y must be finite, got {bad}"):
+            kendall_tau([1, 2, 3], [1, bad, 2])
+
 
 class TestSpearmanRho:
     def test_identical_rankings(self):
@@ -133,6 +140,13 @@ class TestSpearmanRho:
     def test_degenerate_inputs(self):
         with pytest.raises(CorrelationError, match="all-equal"):
             spearman_rho([2, 2, 2], [1, 2, 3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_named(self, bad):
+        with pytest.raises(CorrelationError, match=f"x must be finite, got {bad}"):
+            spearman_rho([bad, 1, 2], [1, 2, 3])
+        with pytest.raises(CorrelationError, match=f"y must be finite, got {bad}"):
+            spearman_rho([1, 2, 3], [1, 2, bad])
 
 
 class TestRankStatisticProperties:
@@ -210,6 +224,19 @@ class TestRunCorrelation:
         report = run_correlation(records, forced)
         assert report["n"] == 5
         assert [f["id"] for f in report["failures"]] == ["bad"]
+
+    def test_no_record_scored_names_the_first_failure(self):
+        # a genome of total stride 2, which a 7x7 input breaks
+        genome = Genome(family="resnet_like", stages=(StageGene(1, 16, 3, "regular", 2),),
+                        stem_channels=8, num_classes=4, input_resolution=(8, 8))
+        records = [BenchmarkRecord(id=f"r{i}", genome=genome, test_accuracy=50.0 + i)
+                   for i in range(3)]
+        forced = ScoreSettings(batches=2, batch_size=2, resolution=(7, 7))
+        with pytest.raises(CorrelationError) as info:
+            run_correlation(records, forced)
+        assert str(info.value) == (
+            "only 0 of 3 records scored successfully; cannot correlate; first failure, "
+            "record 'r0': input_resolution: 7x7 not divisible by total stride 2")
 
     def test_repeated_genome_scored_once(self, monkeypatch):
         records, settings_ = make_records(3, seed=4)

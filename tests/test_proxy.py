@@ -321,6 +321,11 @@ class TestZicoBcScore:
             zico_bc_score(stats_of([(1.0, 1.0)]),
                           shaped_graph([(1, 1, 1), (2, 2, 2)]), 1.0)
 
+    def test_overflowing_score_rejected(self):
+        # a finite beta whose product with the penalty (log 1024) overflows
+        with pytest.raises(ProxyError, match=r"not finite: .*beta 1e\+308, penalty 6\.93"):
+            zico_bc_score(stats_of([(1.0, 1.0)]), shaped_graph([(1, 32, 32)]), 1e308)
+
 
 class TestBiasProperty:
     """The depth bias: the layer sum grows linearly with repeated stages."""
