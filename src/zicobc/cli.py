@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -237,12 +238,18 @@ def _resolve_common(args: argparse.Namespace) -> None:
                              ("log", getattr(args, "log", None), "output")):
         if not path:
             continue
-        target = Path(path)
-        if target.is_dir():
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None  # the run creates it
+        except OSError as exc:  # a symlink loop, or a path through a file
+            raise ValueError(f"--{flag}: {path}: {exc.strerror}") from None
+        if mode is not None and stat.S_ISDIR(mode):
             raise ValueError(f"--{flag}: {path} is a directory")
-        if not target.parent.is_dir():
-            raise ValueError(f"--{flag}: {target.parent} is not a directory")
-        if not os.access(target if target.exists() else target.parent, os.W_OK):
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise ValueError(f"--{flag}: {parent} is not a directory")
+        if not os.access(parent if mode is None else path, os.W_OK):
             raise ValueError(f"--{flag}: {path} is not writable")
         identity = _file_identity(path)
         if identity in taken:

@@ -82,16 +82,9 @@ def _tie_pairs(v: np.ndarray) -> int:
 def average_ranks(v) -> np.ndarray:
     """1-based ranks with ties replaced by their group average."""
     arr = _as_vector("values", v)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size, dtype=np.float64)
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+    # a group's last rank, less half its width: an integer or a half-integer
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman_rho(x, y) -> float:
@@ -167,10 +160,24 @@ def run_correlation(records: list[BenchmarkRecord], settings: ScoreSettings,
     does not depend on the thread count. The settings block is echoed
     into the report so downstream consumers can see exactly which
     defaults applied.
+
+    Unless `settings.resolution` scores every record at one resolution,
+    records whose genomes differ in input resolution are refused before
+    any scoring: the penalty reads each layer's H*W, so their scores are
+    not comparable.
     """
     if len(records) < 2:
         raise CorrelationError(
             f"need at least 2 records to correlate, got {len(records)}")
+    if settings.resolution is None:
+        first = records[0]
+        for rec in records:
+            if rec.genome.input_resolution != first.genome.input_resolution:
+                (h0, w0), (h, w) = first.genome.input_resolution, rec.genome.input_resolution
+                raise CorrelationError(
+                    f"records {first.id!r} at {h0}x{w0} and {rec.id!r} at {h}x{w}: scores "
+                    f"at different resolutions are not comparable; set one resolution "
+                    f"for all (--resolution)")
 
     def score_one(genome: Genome):
         try:

@@ -127,17 +127,18 @@ class Tape:
     computed. Backward consumes the tape, freeing each record once its
     rule has run, so a second backward raises TapeError.
 
-    Given a pool, the array work splits into contiguous sample ranges, one
-    per worker, and the calling thread runs the first range itself. A
-    conv's two kernels (the forward with its padding, then the gradients)
-    run one sample at a time within a range; ReLU (both passes) and
-    residual_add run each range in one call. Each range writes disjoint
-    slices of preallocated results. Pooling, the dense head, the loss,
-    the sum of a conv's weight products and the adjoint accumulation stay
-    whole-batch on the calling thread, and so does every Tape method:
-    only the array work inside a call moves. Without a pool each kernel
-    is one numpy call over the whole batch. Per-sample products are the
-    same GEMMs and sums as whole-batch ones, so both give the same bytes.
+    Each op allocates its results uninitialised and fills them through
+    one helper, `_by_sample`. Without a pool that is one kernel call over
+    the whole batch. Given a pool, the batch splits into contiguous sample
+    ranges, one per worker, and the calling thread runs the first range
+    itself. Each range calls the kernel one sample at a time: a conv's two
+    kernels (the forward with its padding, then the gradients), ReLU (both
+    passes) and residual_add alike, each call writing disjoint slices of
+    the results. Pooling, the dense head, the loss, the sum of a conv's
+    weight products and the adjoint accumulation stay whole-batch on the
+    calling thread, and so does every Tape method: only the array work
+    inside a call moves. Per-sample products are the same GEMMs and sums
+    as whole-batch ones, so both give the same bytes.
     """
 
     def __init__(self, pool: WorkerPool | None = None) -> None:
@@ -189,16 +190,13 @@ class Tape:
 
         w_g = weight.data.reshape(groups, c_out_g, ckk)
 
-        def forward(lo: int, hi: int, out: np.ndarray | None,
-                    xp: np.ndarray | None = None) -> list[np.ndarray]:
-            # each range pads its own samples, into xp when it is given
-            xp = _pad(x.data[lo:hi], padding, padding, out=xp)
-            return [np.matmul(w_g[None], columns(xp), out=out), xp]
+        def forward(lo: int, hi: int, out: np.ndarray, xp: np.ndarray) -> None:
+            _pad(x.data[lo:hi], padding, padding, out=xp)  # unpadded, xp is x.data
+            np.matmul(w_g[None], columns(xp), out=out)
 
-        padded = (n, c_in, h + 2 * padding, w + 2 * padding)
-        out, *xp = _by_sample(pool, forward, (n, groups, c_out_g, L),
-                              *[padded] * (padding > 0))
-        xp = xp[0] if padding else x.data
+        out = np.empty((n, groups, c_out_g, L))
+        xp = np.empty((n, c_in, h + 2 * padding, w + 2 * padding)) if padding else x.data
+        _by_sample(pool, forward, out, xp)
         result = Tensor(out.reshape(n, c_out, h_out, w_out))
 
         if stride == 1 and padding < min(kh, kw):  # every compiled stride-1 conv
@@ -207,19 +205,15 @@ class Tape:
             return result
 
         def rule(go: np.ndarray, wanted: list[bool]) -> list[np.ndarray | None]:
-            def kernel(lo: int, hi: int, products: np.ndarray | None,
-                       gxp: np.ndarray | None = None) -> list[np.ndarray]:
+            def kernel(lo: int, hi: int, products: np.ndarray,
+                       gxp: np.ndarray | None) -> None:
                 go_g = go[lo:hi].reshape(hi - lo, groups, c_out_g, L)
-                products = np.matmul(go_g, columns(xp[lo:hi]).transpose(0, 1, 3, 2),
-                                     out=products)
-                if not wanted[0]:
-                    return [products]
+                np.matmul(go_g, columns(xp[lo:hi]).transpose(0, 1, 3, 2), out=products)
+                if gxp is None:
+                    return
                 # the one kernel that accumulates into its out, so the one
                 # that zeroes it
-                if gxp is None:
-                    gxp = np.zeros(xp.shape)
-                else:
-                    gxp.fill(0.0)
+                gxp.fill(0.0)
                 if groups == c_in == c_out:
                     # depthwise: the GEMM's inner dimension is 1, so each
                     # column entry is one exact product; adding the taps in
@@ -234,11 +228,11 @@ class Tape:
                     gcols = np.matmul(w_g.transpose(0, 2, 1)[None], go_g)
                     _col2im(gcols.reshape(hi - lo, c_in * kh * kw, L), gxp,
                             kh, kw, stride, h_out, w_out)
-                return [products, gxp]
 
-            products, *gxp = _by_sample(pool, kernel, (n, groups, c_out_g, ckk),
-                                        *[xp.shape] * wanted[0])
-            gx = gxp[0][:, :, padding:padding + h, padding:padding + w] if gxp else None
+            products = np.empty((n, groups, c_out_g, ckk))
+            gxp = np.empty(xp.shape) if wanted[0] else None
+            _by_sample(pool, kernel, products, gxp)
+            gx = None if gxp is None else gxp[:, :, padding:padding + h, padding:padding + w]
             return [gx, products.sum(axis=0).reshape(weight.shape)]
 
         self._record(result, [x], [weight], rule)
@@ -246,15 +240,19 @@ class Tape:
 
     def relu(self, x: Tensor) -> Tensor:
         pool = self._pool  # the rule below must not hold the tape
-        data, mask = _pointwise(
-            pool, lambda x, out, mask: (np.maximum(x, 0.0, out=out),
-                                        np.greater(x, 0.0, out=mask)),
-            [x.data], [np.float64, bool])
+        data, mask = np.empty(x.shape), np.empty(x.shape, bool)
+
+        def forward(lo: int, hi: int, out: np.ndarray, mask: np.ndarray) -> None:
+            np.maximum(x.data[lo:hi], 0.0, out=out)
+            np.greater(x.data[lo:hi], 0.0, out=mask)
+
+        _by_sample(pool, forward, data, mask)
         out = Tensor(data)
 
         def rule(go: np.ndarray, wanted: list[bool]) -> list[np.ndarray]:
-            return _pointwise(pool, lambda go, mask, gx: np.multiply(go, mask, out=gx),
-                              [go, mask], [np.float64])
+            gx = np.empty(go.shape)
+            _by_sample(pool, lambda lo, hi, g: np.multiply(go[lo:hi], mask[lo:hi], out=g), gx)
+            return [gx]
 
         self._record(out, [x], [], rule)
         return out
@@ -299,8 +297,9 @@ class Tape:
         if a.shape != b.shape:
             raise ShapeMismatchError(
                 f"residual_add: operand shapes {a.shape} and {b.shape} differ")
-        data, = _pointwise(self._pool, lambda a, b, out: np.add(a, b, out=out),
-                           [a.data, b.data], [np.float64])
+        data = np.empty(a.shape)
+        _by_sample(self._pool,
+                   lambda lo, hi, out: np.add(a.data[lo:hi], b.data[lo:hi], out=out), data)
         out = Tensor(data)
         self._record(out, [a, b], [], lambda go, wanted: [go, go])
         return out
@@ -417,40 +416,23 @@ def _split(pool: WorkerPool | None, n: int, run: Callable[[int, int], object]) -
         future.result()
 
 
-def _by_sample(pool: WorkerPool | None, kernel: Callable,
-               *shapes: tuple[int, ...]) -> list[np.ndarray]:
-    """The (n, ...) results of `kernel(lo, hi, *outs)` over samples [lo, hi).
+def _by_sample(pool: WorkerPool | None, kernel: Callable, *outs: np.ndarray | None) -> None:
+    """Fill the (n, ...) arrays `outs` by `kernel(lo, hi, *outs[lo:hi])`.
 
-    The kernel returns one array per shape. Without a pool it runs once
-    over the whole batch with every out None and allocates its results.
-    With one, each out is a one-sample slice of an uninitialised result,
-    which the kernel must write whole: the ranges of `_split` call the
-    kernel one sample at a time, so temporaries stay one sample in size.
+    Each call gets the [lo, hi) slice of every out (an out that is None
+    stays None) and must write those slices whole: results are allocated
+    uninitialised. Without a pool it is one call over the whole batch.
+    With one, the ranges of `_split` call the kernel one sample at a time,
+    so temporaries stay one sample in size.
     """
-    n = shapes[0][0]
-    if pool is None:
-        return kernel(0, n, *[None] * len(shapes))
-    outs = [np.empty(shape) for shape in shapes]
+    n = len(outs[0])
+    step = n if pool is None else 1
 
     def run(lo: int, hi: int) -> None:
-        for s in range(lo, hi):
-            kernel(s, s + 1, *[out[s:s + 1] for out in outs])
+        for s in range(lo, hi, step):
+            kernel(s, s + step, *[out if out is None else out[s:s + step] for out in outs])
 
     _split(pool, n, run)
-    return outs
-
-
-def _pointwise(pool: WorkerPool | None, kernel: Callable, operands: list[np.ndarray],
-               dtypes: list[type]) -> list[np.ndarray]:
-    """New arrays shaped like the operands, one per dtype.
-
-    `kernel(*operands, *outs)` runs on the same sample range of every
-    operand and out, once per range of `_split`, and writes each out whole.
-    """
-    outs = [np.empty(operands[0].shape, dtype) for dtype in dtypes]
-    rows = [np.atleast_1d(a) for a in operands + outs]  # a 0-d tensor is one sample
-    _split(pool, len(rows[0]), lambda lo, hi: kernel(*[a[lo:hi] for a in rows]))
-    return outs
 
 
 def _gathered_rule(pool: WorkerPool | None, xp: np.ndarray, weight: np.ndarray,
@@ -461,8 +443,9 @@ def _gathered_rule(pool: WorkerPool | None, xp: np.ndarray, weight: np.ndarray,
     output gradient padded by k - 1 - padding, one column per pixel of
     the unpadded (h, w) input. G times the input's interior is the weight
     gradient with its taps flipped; the flipped kernel, transposed per
-    group, times G is the input gradient. One per-sample kernel computes
-    the weight products and, when the input gradient is wanted, that too.
+    group, times G is the input gradient. The rule allocates the weight
+    products and, when it is wanted, the input gradient, and one kernel
+    fills both through `_by_sample`.
     """
     n, c_in = xp.shape[:2]
     c_out, c_in_g, kh, kw = weight.shape
@@ -478,27 +461,22 @@ def _gathered_rule(pool: WorkerPool | None, xp: np.ndarray, weight: np.ndarray,
         w_t = weight.reshape(groups, c_out_g, c_in_g, kh, kw)[..., ::-1, ::-1].transpose(
             0, 2, 1, 3, 4).reshape(groups, c_in_g, rows)
 
-        def kernel(lo: int, hi: int, products: np.ndarray | None,
-                   gx: np.ndarray | None = None) -> list[np.ndarray]:
+        def kernel(lo: int, hi: int, products: np.ndarray, gx: np.ndarray | None) -> None:
             cols = grad_columns(go, lo, hi)
-            # reshaping the strided interior copies it contiguous; as a
-            # temporary it is freed before the input gradient is allocated
+            # reshaping the strided interior copies it contiguous: a
+            # temporary the size of the call's samples, alive next to the
+            # input gradient, which is allocated before the first call
             interior = xp[lo:hi, :, padding:padding + h, padding:padding + w]
-            products = np.matmul(
-                cols, interior.reshape(hi - lo, groups, c_in_g, h * w).transpose(0, 1, 3, 2),
-                out=products)
-            if not wanted[0]:
-                return [products]
+            np.matmul(cols, interior.reshape(hi - lo, groups, c_in_g, h * w).transpose(
+                0, 1, 3, 2), out=products)
             if gx is not None:
-                gx = gx.reshape(hi - lo, groups, c_in_g, h * w)
-            return [products,
-                    np.matmul(w_t[None], cols, out=gx).reshape(hi - lo, c_in, h, w)]
+                np.matmul(w_t[None], cols, out=gx.reshape(hi - lo, groups, c_in_g, h * w))
 
-        products, *gx = _by_sample(pool, kernel, (n, groups, rows, c_in_g),
-                                   *[(n, c_in, h, w)] * wanted[0])
+        products = np.empty((n, groups, rows, c_in_g))
+        gx = np.empty((n, c_in, h, w)) if wanted[0] else None
+        _by_sample(pool, kernel, products, gx)
         flipped = products.sum(axis=0).reshape(groups, c_out_g, kh, kw, c_in_g)
-        return [gx[0] if gx else None,
-                flipped.transpose(0, 1, 4, 2, 3)[..., ::-1, ::-1].reshape(weight.shape)]
+        return [gx, flipped.transpose(0, 1, 4, 2, 3)[..., ::-1, ::-1].reshape(weight.shape)]
 
     return rule
 

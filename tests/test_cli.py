@@ -584,9 +584,12 @@ def counting_scores(monkeypatch) -> list:
     return calls
 
 
-# (flag, the path it is given, relative to the test's directory)
+# (flag, the path it is given, relative to the test's directory); loop.json
+# and m.json.manifest.json are symlink loops, which Path.exists and
+# Path.is_dir both call absent
 UNWRITABLE = [("--log", "missing/log.jsonl"), ("--out", "missing/a.json"),
-              ("--log", "."), ("--out", "."), ("--out", "a.json/b.json")]
+              ("--log", "."), ("--out", "."), ("--out", "a.json/b.json"),
+              ("--log", "loop.json"), ("--out", "loop.json"), ("--out", "m.json")]
 
 
 class TestUnwritableOutput:
@@ -594,6 +597,9 @@ class TestUnwritableOutput:
     def test_search_refuses_before_scoring(self, flag, target, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("a.json").write_text("a file, so no directory\n")
+        Path("loop.json").symlink_to("loop.json")
+        Path("m.json.manifest.json").symlink_to("m.json.manifest.json")
+        before = sorted(p.name for p in tmp_path.iterdir())
         paths = {"--out": "out.json", "--log": "log.jsonl", flag: target}
         calls = counting_scores(monkeypatch)
         code, out, err = run_cli([*SEARCH_FAST, "--out", paths["--out"],
@@ -601,8 +607,7 @@ class TestUnwritableOutput:
         assert code == 2, err.decode()
         assert err.startswith(f"error: {flag}: ".encode())
         assert out == b"" and calls == []
-        assert not Path("out.json").exists() and not Path("log.jsonl").exists()
-        assert not Path("out.json.manifest.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_score_refuses_a_manifest_path_that_is_a_directory(self, genome_file,
                                                                 tmp_path, monkeypatch):
@@ -1219,6 +1224,21 @@ class TestCorrelate:
                                 "--beta", "0.5", *FAST, "--out", str(out)])
         assert code == 0, err.decode()
         assert_replays(out, tmp_path)
+
+    def test_mixed_resolutions_correlate_at_one_set_resolution(self, tmp_path):
+        rng = np.random.default_rng(10)
+        records = tmp_path / "bench.jsonl"
+        records.write_text("".join(
+            json.dumps({"id": f"r{i}", "test_accuracy": 50.0 + i, "genome": genome_to_dict(
+                random_genome(rng, max_stages=1, resolution=8 * (1 + i % 2)))}) + "\n"
+            for i in range(4)))
+        argv = ["correlate", "--records", str(records), "--seed", "2", *FAST]
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == b""
+        assert err.startswith(b"error: records 'r0' at 8x8 and 'r1' at 16x16: ")
+        code, out, err = run_cli([*argv, "--resolution", "8x8"])
+        assert code == 0, err.decode()
+        assert json.loads(out)["n"] == 4
 
     def test_records_required(self):
         code, out, err = run_cli(["correlate", *FAST])

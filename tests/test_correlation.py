@@ -166,6 +166,14 @@ class TestRankStatisticProperties:
         assert kendall_tau(tx, y) == pytest.approx(kendall_tau(x, y), abs=1e-12)
         assert spearman_rho(tx, y) == pytest.approx(spearman_rho(x, y), abs=1e-12)
 
+    # ties and both signed zeros, among values of any magnitude
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e300])
+                    | st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_average_ranks_equal_the_counting_oracle_exactly(self, v):
+        assert average_ranks(v).tolist() == rank_count_oracle(v)
+
     @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
                     min_size=3, max_size=15))
     @settings(max_examples=80, deadline=None)
@@ -284,6 +292,20 @@ class TestRunCorrelation:
                                       for i in range(2)]
         assert report["n"] == 4
         assert [row["id"] for row in report["records"]] == ["r0", "r1", "r2", "r3"]
+
+    def test_mixed_resolutions_are_refused_before_scoring(self, monkeypatch):
+        records, settings_ = make_records(4, seed=6)
+        records[2:] = [dataclasses.replace(rec, genome=dataclasses.replace(
+            rec.genome, input_resolution=(16, 16))) for rec in records[2:]]
+        calls = []
+        monkeypatch.setattr(correlation, "score_genome",
+                            lambda genome, settings: calls.append(genome))
+        with pytest.raises(CorrelationError) as info:
+            run_correlation(records, settings_)
+        assert str(info.value) == (
+            "records 'r0' at 8x8 and 'r2' at 16x16: scores at different resolutions "
+            "are not comparable; set one resolution for all (--resolution)")
+        assert calls == []
 
     def test_too_few_records(self):
         records, settings_ = make_records(2, seed=3)

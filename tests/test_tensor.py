@@ -265,13 +265,14 @@ class TestTapeMemory:
 
     @staticmethod
     def _count_by_sample(monkeypatch) -> list:
-        """The shapes of every later `_by_sample` call, one tuple per call."""
+        """The shapes of the outs of every later `_by_sample` call, one tuple
+        per call; an out that is None is recorded as None."""
         calls = []
         by_sample = tensor_module._by_sample
 
-        def counting(pool, kernel, *shapes):
-            calls.append(shapes)
-            return by_sample(pool, kernel, *shapes)
+        def counting(pool, kernel, *outs):
+            calls.append(tuple(None if out is None else out.shape for out in outs))
+            return by_sample(pool, kernel, *outs)
 
         monkeypatch.setattr(tensor_module, "_by_sample", counting)
         return calls
@@ -292,7 +293,7 @@ class TestTapeMemory:
         calls = self._count_by_sample(monkeypatch)
         tape.backward(loss)
         # the weight gradient's products only
-        assert calls == [(products,)]
+        assert calls == [(products, None)]
 
     @pytest.mark.parametrize("stride,shapes", [
         (1, ((2, 4, 27, 1), (2, 4, 5, 5))),  # products, then the input gradient
@@ -310,9 +311,10 @@ class TestTapeMemory:
         loss = tape.cross_entropy_loss(tape.dense(tape.global_avg_pool(h), wd), [0, 3])
         calls = self._count_by_sample(monkeypatch)
         tape.backward(loss)
-        # the grouped conv's one call gives both gradients; the 1x1 conv
-        # reads the data batch, so its one call gives the products only
-        assert calls == [shapes, ((2, 1, 4, 2),)]
+        # the grouped conv's one call gives both gradients, the ReLU's
+        # backward is one call, and the 1x1 conv reads the data batch, so
+        # its one call gives the products only
+        assert calls == [shapes, ((2, 4, 5, 5),), ((2, 1, 4, 2), None)]
 
 
 def _genome(family, conv_mode, stride, kernel, rng):
@@ -418,13 +420,14 @@ class TestWorkerPool:
                 unpooled = _pooled_grads(groups, stride, kernel, batch, None)
                 for pool in (two, eight):
                     assert _pooled_grads(groups, stride, kernel, batch, pool) == unpooled
-            # a pooled result is allocated uninitialised; freed NaNs of the
-            # padded shapes make one that a kernel leaves partly unwritten
-            # likely to show as a mismatch
+            # a result is allocated uninitialised, pool or no pool; freed
+            # NaNs of the padded shapes make one that a kernel leaves partly
+            # unwritten likely to show as a mismatch
             pad = kernel // 2
-            for shape in ((8, 3, 10, 10), (8, 12, 8 + 2 * pad, 8 + 2 * pad)):
-                np.full(shape, np.nan)
-            assert _pooled_grads(groups, stride, kernel, 8, two) == unpooled
+            for pool in (None, two):
+                for shape in ((8, 3, 10, 10), (8, 12, 8 + 2 * pad, 8 + 2 * pad)):
+                    np.full(shape, np.nan)
+                assert _pooled_grads(groups, stride, kernel, 8, pool) == unpooled
 
     def test_calling_thread_runs_the_first_range(self):
         ranges = {}
