@@ -18,6 +18,15 @@ from typing import Callable
 
 import numpy as np
 
+# The most bytes of output-gradient columns that a stride-1 conv's backward
+# gathers at once (`_gathered_rule`); without a pool it walks its batch in
+# chunks of whole samples that fit. The search workload's 16x16, 64-channel
+# convs gather 9.4 MB for a batch of 8, and 3.5 MB per 3-sample chunk. On a
+# 2-core VM, chunking cut `perfbench/run.py --workload search` median peak
+# RSS from 87.9 to 78.7 MB at the same wall time (10 pairs); budgets of
+# 1-4 MiB gave the same RSS, and 8 MiB about 85 MB.
+GATHER_BUDGET = 4 << 20
+
 
 class TensorError(ValueError):
     """Invalid tensor construction or element access."""
@@ -129,7 +138,9 @@ class Tape:
 
     Each op allocates its results uninitialised and fills them through
     one helper, `_by_sample`. Without a pool that is one kernel call over
-    the whole batch. Given a pool, the batch splits into contiguous sample
+    the whole batch, and a stride-1 conv's gradient kernel walks it in
+    chunks of whole samples whose gathered columns fit `GATHER_BUDGET`.
+    Given a pool, the batch splits into contiguous sample
     ranges, one per worker, and the calling thread runs the first range
     itself. Each range calls the kernel one sample at a time: a conv's two
     kernels (the forward with its padding, then the gradients), ReLU (both
@@ -445,13 +456,19 @@ def _gathered_rule(pool: WorkerPool | None, xp: np.ndarray, weight: np.ndarray,
     gradient with its taps flipped; the flipped kernel, transposed per
     group, times G is the input gradient. The rule allocates the weight
     products and, when it is wanted, the input gradient, and one kernel
-    fills both through `_by_sample`.
+    fills both through `_by_sample`. The kernel gathers G for as many
+    whole samples of its range at a time as fit `GATHER_BUDGET` bytes, at
+    least one; each sample's GEMMs are the same either way, so are the
+    bytes.
     """
     n, c_in = xp.shape[:2]
     c_out, c_in_g, kh, kw = weight.shape
     h, w = extent
     c_out_g = c_out // groups
     rows = c_out_g * kh * kw
+    # whole samples whose columns fit the budget; a pool's calls are one
+    # sample each, so only a call without a pool walks more than one chunk
+    chunk = max(1, GATHER_BUDGET // (c_out * kh * kw * h * w * xp.itemsize))
 
     def grad_columns(go: np.ndarray, lo: int, hi: int) -> np.ndarray:
         gop = _pad(go[lo:hi], kh - 1 - padding, kw - 1 - padding)
@@ -462,15 +479,19 @@ def _gathered_rule(pool: WorkerPool | None, xp: np.ndarray, weight: np.ndarray,
             0, 2, 1, 3, 4).reshape(groups, c_in_g, rows)
 
         def kernel(lo: int, hi: int, products: np.ndarray, gx: np.ndarray | None) -> None:
-            cols = grad_columns(go, lo, hi)
-            # reshaping the strided interior copies it contiguous: a
-            # temporary the size of the call's samples, alive next to the
-            # input gradient, which is allocated before the first call
-            interior = xp[lo:hi, :, padding:padding + h, padding:padding + w]
-            np.matmul(cols, interior.reshape(hi - lo, groups, c_in_g, h * w).transpose(
-                0, 1, 3, 2), out=products)
-            if gx is not None:
-                np.matmul(w_t[None], cols, out=gx.reshape(hi - lo, groups, c_in_g, h * w))
+            for s in range(lo, hi, chunk):
+                e = min(s + chunk, hi)
+                cols = grad_columns(go, s, e)
+                # reshaping the strided interior copies it contiguous: a
+                # temporary the size of the chunk, alive next to the input
+                # gradient, which is allocated before the first call
+                interior = xp[s:e, :, padding:padding + h, padding:padding + w]
+                np.matmul(cols, interior.reshape(e - s, groups, c_in_g, h * w).transpose(
+                    0, 1, 3, 2), out=products[s - lo:e - lo])
+                if gx is not None:
+                    np.matmul(w_t[None], cols,
+                              out=gx[s - lo:e - lo].reshape(e - s, groups, c_in_g, h * w))
+                del cols  # freed before the next chunk gathers
 
         products = np.empty((n, groups, rows, c_in_g))
         gx = np.empty((n, c_in, h, w)) if wanted[0] else None

@@ -316,6 +316,37 @@ class TestTapeMemory:
         # its one call gives the products only
         assert calls == [shapes, ((2, 4, 5, 5),), ((2, 1, 4, 2), None)]
 
+    @pytest.mark.parametrize("budget", [None, 1], ids=["default", "one_sample"])
+    def test_stride_one_gathers_fit_the_budget_without_a_pool(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(tensor_module, "GATHER_BUDGET", budget)
+        budget = tensor_module.GATHER_BUDGET
+        # the search workload's convs: 64 channels at 16x16, a batch of 8,
+        # so 9.4 MB of output-gradient columns per conv if gathered at once
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.normal(size=(8, 16, 16, 16)))
+        w1 = Tensor(rng.normal(size=(64, 16, 3, 3)))
+        w2 = Tensor(rng.normal(size=(64, 64, 3, 3)))
+        wd = Tensor(rng.normal(size=(4, 64)))
+        tape = Tape()
+        h = tape.conv2d(tape.relu(tape.conv2d(x, w1, padding=1)), w2, padding=1)
+        loss = tape.cross_entropy_loss(tape.dense(tape.global_avg_pool(h), wd),
+                                       rng.integers(0, 4, size=8))
+        gathers = []  # (bytes, samples) of each gather
+        im2col = tensor_module._im2col
+
+        def recording(*args):
+            cols = im2col(*args)
+            gathers.append((cols.nbytes, len(cols)))
+            return cols
+
+        monkeypatch.setattr(tensor_module, "_im2col", recording)
+        tape.backward(loss)
+        # both convs gather every sample once, each within the budget
+        # unless it is a chunk of one sample
+        assert sum(nbytes for nbytes, _ in gathers) == 2 * 8 * 64 * 3 * 3 * 16 * 16 * 8
+        assert all(nbytes <= budget or samples == 1 for nbytes, samples in gathers), gathers
+
 
 def _genome(family, conv_mode, stride, kernel, rng):
     """A two-stage genome whose second stage has the given mode, stride, kernel.
@@ -414,12 +445,17 @@ class TestWorkerPool:
     @pytest.mark.parametrize("kernel", [3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("groups", [1, 4, 12], ids=["regular", "grouped", "depthwise"])
-    def test_pooled_tape_matches_unpooled(self, groups, stride, kernel):
+    def test_pooled_tape_matches_unpooled(self, monkeypatch, groups, stride, kernel):
         with WorkerPool(2) as two, WorkerPool(8) as eight:
             for batch in (1, 3, 8):  # 3 splits unevenly; 8 workers can outnumber samples
-                unpooled = _pooled_grads(groups, stride, kernel, batch, None)
-                for pool in (two, eight):
-                    assert _pooled_grads(groups, stride, kernel, batch, pool) == unpooled
+                pooled = _pooled_grads(groups, stride, kernel, batch, two)
+                assert _pooled_grads(groups, stride, kernel, batch, eight) == pooled
+                # without a pool a stride-1 backward gathers in chunks of
+                # whole samples: one at a time, 3 of the first conv's (8
+                # splits unevenly), or the whole batch at once
+                for budget in (1, 3 * 12 * 3 * 3 * 8 * 8 * 8, 1 << 40):
+                    monkeypatch.setattr(tensor_module, "GATHER_BUDGET", budget)
+                    assert _pooled_grads(groups, stride, kernel, batch, None) == pooled
             # a result is allocated uninitialised, pool or no pool; freed
             # NaNs of the padded shapes make one that a kernel leaves partly
             # unwritten likely to show as a mismatch
@@ -427,7 +463,7 @@ class TestWorkerPool:
             for pool in (None, two):
                 for shape in ((8, 3, 10, 10), (8, 12, 8 + 2 * pad, 8 + 2 * pad)):
                     np.full(shape, np.nan)
-                assert _pooled_grads(groups, stride, kernel, 8, pool) == unpooled
+                assert _pooled_grads(groups, stride, kernel, 8, pool) == pooled
 
     def test_calling_thread_runs_the_first_range(self):
         ranges = {}
