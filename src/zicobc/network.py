@@ -69,9 +69,11 @@ class Genome:
     expansion: int = 4  # effnet_like bottleneck expansion; always 4 for resnet_like
 
     def __post_init__(self) -> None:
-        if len(self.input_resolution) != 2:
-            raise GenomeError(f"input_resolution: need 2 extents (HxW), "
-                              f"got {len(self.input_resolution)}")
+        if not isinstance(self.stages, tuple):
+            raise GenomeError(f"stages: must be a tuple, got {type(self.stages).__name__}")
+        if not isinstance(self.input_resolution, tuple) or len(self.input_resolution) != 2:
+            raise GenomeError(f"input_resolution: need a tuple of 2 extents (HxW), "
+                              f"got {self.input_resolution!r}")
         h, w = self.input_resolution
         numbers = [(f"stages[{i}].{name}", getattr(gene, name))
                    for i, gene in enumerate(self.stages)
@@ -178,6 +180,8 @@ def resolve_groups(family: str, channels: int, conv_mode: str, expansion: int) -
     32 groups on the expanded channels. Depthwise sets groups equal to the
     convolved channel count and is only defined for effnet_like.
     """
+    if conv_mode not in CONV_MODES:
+        raise GenomeError(f"conv_mode: unknown mode {conv_mode!r}")
     if conv_mode == "regular":
         return 1
     if conv_mode == "depthwise":
@@ -218,8 +222,6 @@ def _validate_gene(genome: Genome, i: int, gene: StageGene) -> None:
                           f"got {gene.kernel}")
     if gene.stride not in (1, 2):
         raise GenomeError(f"{where}.stride: must be 1 or 2, got {gene.stride}")
-    if gene.conv_mode not in CONV_MODES:
-        raise GenomeError(f"{where}.conv_mode: unknown mode {gene.conv_mode!r}")
     try:
         resolve_groups(genome.family, gene.channels, gene.conv_mode, genome.expansion)
     except GenomeError as exc:

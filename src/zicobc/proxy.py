@@ -18,6 +18,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -316,20 +317,21 @@ def _one_blas_thread() -> Iterator[None]:
     pool at a time; a pool opened inside another's workers finds BLAS at
     one thread already and leaves it alone.
     """
-    get, set_ = _openblas()
-    saved = get()
-    if saved != 1:
-        set_(1)
+    saved = blas_threads()
+    pinned = saved not in (None, 1)
+    if pinned:
+        _openblas().set(1)
     try:
         yield
     finally:
-        if saved != 1:
-            set_(saved)
+        if pinned:
+            _openblas().set(saved)
 
 
 def blas_threads() -> int | None:
     """Threads numpy's bundled OpenBLAS runs now; None under another BLAS."""
-    return _openblas()[0]()
+    blas = _openblas()
+    return None if blas is None else blas.get()
 
 
 def blas_core() -> str | None:
@@ -338,16 +340,15 @@ def blas_core() -> str | None:
     OpenBLAS picks it from the CPU at load time, or from
     OPENBLAS_CORETYPE. None under another BLAS.
     """
-    corename = getattr(_openblas_library(), "scipy_openblas_get_corename64_", None)
-    if corename is None:
-        return None
-    corename.restype, corename.argtypes = ctypes.c_char_p, []
-    return corename().decode()
+    blas = _openblas()
+    return None if blas is None or blas.corename is None else blas.corename().decode()
 
 
 @functools.cache
-def _openblas_library() -> ctypes.CDLL | None:
-    """numpy's bundled OpenBLAS; None under another BLAS.
+def _openblas() -> SimpleNamespace | None:
+    """numpy's bundled OpenBLAS as typed calls: `get` and `set` its thread
+    count, and `corename` (None where the library lacks it). None under
+    another BLAS.
 
     numpy wheels ship OpenBLAS in `numpy.libs` with `scipy_openblas`
     ILP64 symbols; loading it again returns the copy numpy already uses.
@@ -356,22 +357,15 @@ def _openblas_library() -> ctypes.CDLL | None:
                        .glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
-            lib.scipy_openblas_get_num_threads64_
-            lib.scipy_openblas_set_num_threads64_
+            blas = SimpleNamespace(
+                get=lib.scipy_openblas_get_num_threads64_,
+                set=lib.scipy_openblas_set_num_threads64_,
+                corename=getattr(lib, "scipy_openblas_get_corename64_", None))
         except (OSError, AttributeError):
             continue
-        return lib
+        blas.get.restype, blas.get.argtypes = ctypes.c_int, []
+        blas.set.restype, blas.set.argtypes = None, [ctypes.c_int]
+        if blas.corename is not None:
+            blas.corename.restype, blas.corename.argtypes = ctypes.c_char_p, []
+        return blas
     return None
-
-
-@functools.cache
-def _openblas() -> tuple[Callable[[], int | None], Callable[[int], None]]:
-    """Get and set the bundled OpenBLAS thread count; no-ops under another BLAS."""
-    lib = _openblas_library()
-    if lib is None:
-        return (lambda: None), (lambda count: None)
-    get = lib.scipy_openblas_get_num_threads64_
-    set_ = lib.scipy_openblas_set_num_threads64_
-    get.restype, get.argtypes = ctypes.c_int, []
-    set_.restype, set_.argtypes = None, [ctypes.c_int]
-    return get, set_

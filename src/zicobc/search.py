@@ -119,62 +119,45 @@ def dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
 
 
 def non_dominated_sort(population: list[Individual]) -> list[list[Individual]]:
-    """Deb's fast non-dominated sort; assigns ranks, returns the fronts."""
+    """Deb's fast non-dominated sort; assigns ranks, returns the fronts,
+    each in population order."""
     for ind in population:
         if any(math.isnan(v) for v in ind.objectives):
             raise ObjectiveError(f"NaN objective for genome {ind.key}")
-    n = len(population)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    for i in range(n):
-        oi = population[i].objectives
-        for j in range(i + 1, n):
-            oj = population[j].objectives
-            if dominates(oi, oj):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(oj, oi):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
+    if not population:
+        return []
+    obj = np.array([ind.objectives for ind in population], dtype=float)
+    # beats[i, j]: member i dominates member j
+    beats = (obj[:, None] <= obj).all(axis=2) & (obj[:, None] < obj).any(axis=2)
+    count = beats.sum(axis=0)  # how many members dominate each one
     fronts: list[list[Individual]] = []
-    current = [i for i in range(n) if domination_count[i] == 0]
-    rank = 0
-    while current:
-        front = []
-        for i in current:
-            population[i].rank = rank
-            front.append(population[i])
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        fronts.append(front)
-        current = sorted(nxt)
-        rank += 1
+    front = np.flatnonzero(count == 0)
+    while front.size:
+        fronts.append([population[i] for i in front])
+        for ind in fronts[-1]:
+            ind.rank = len(fronts) - 1
+        count[front] = -1  # placed; members of a front never dominate each other
+        count -= beats[front].sum(axis=0)
+        front = np.flatnonzero(count == 0)
     return fronts
 
 
 def crowding_distance(front: list[Individual]) -> None:
-    """Per-objective normalized neighbor gaps; boundary members get +inf."""
+    """Per-objective normalized neighbor gaps; boundary members get +inf.
+    Each objective is walked in value order, ties broken by genome key."""
     if not front:
         return
-    for ind in front:
-        ind.crowding = 0.0
-    n_obj = len(front[0].objectives)
-    for m in range(n_obj):
-        ordered = sorted(front, key=lambda ind: (ind.objectives[m], ind.key))
-        ordered[0].crowding = math.inf
-        ordered[-1].crowding = math.inf
-        span = ordered[-1].objectives[m] - ordered[0].objectives[m]
-        if span == 0:
-            continue
-        for i in range(1, len(ordered) - 1):
-            if ordered[i].crowding == math.inf:
-                continue
-            gap = ordered[i + 1].objectives[m] - ordered[i - 1].objectives[m]
-            ordered[i].crowding += gap / span
+    obj = np.array([ind.objectives for ind in front], dtype=float)
+    keys = np.array([ind.key for ind in front])
+    crowding = np.zeros(len(front))
+    for column in obj.T:
+        order = np.lexsort((keys, column))
+        crowding[order[[0, -1]]] = math.inf
+        span = column[order[-1]] - column[order[0]]
+        if span != 0:
+            crowding[order[1:-1]] += (column[order[2:]] - column[order[:-2]]) / span
+    for ind, value in zip(front, crowding.tolist()):
+        ind.crowding = value
 
 
 class ParetoArchive:
@@ -485,16 +468,21 @@ class GenomeSpace:
 
     def __post_init__(self) -> None:
         for name in ("channel_choices", "repeat_choices", "kernel_choices",
-                     "expansion_choices"):
-            if not getattr(self, name):
+                     "expansion_choices", "conv_modes"):
+            values = getattr(self, name)
+            if not values:
                 raise SearchConfigError(f"{name}: empty list")
+            # a repeat would weight sampling and stall a one-place move
+            twice = [v for i, v in enumerate(values) if v in values[:i]]
+            if twice:
+                raise SearchConfigError(f"{name}: {twice[0]!r} is listed twice")
         if self.family == "resnet_like" and tuple(self.expansion_choices) != (4,):
             raise SearchConfigError(
                 f"expansion_choices: resnet_like blocks have no expansion, so only "
                 f"(4,) may be declared, got {tuple(self.expansion_choices)}")
-        bad_modes = [m for m in self.conv_modes if m not in CONV_MODES]
-        if not self.conv_modes or bad_modes:
-            raise SearchConfigError(f"unknown conv modes {bad_modes or '(empty)'}")
+        unknown = [m for m in self.conv_modes if m not in CONV_MODES]
+        if unknown:
+            raise SearchConfigError(f"conv_modes: unknown mode {unknown[0]!r}")
         for c in self.channel_choices:
             if not self.legal_modes(c):
                 raise SearchConfigError(

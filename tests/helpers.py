@@ -148,13 +148,13 @@ def blas_threads_set_to(count: int):
     A known count outside the pool keeps the pin tests meaningful when
     the suite itself runs with OPENBLAS_NUM_THREADS=1.
     """
-    get, set_ = _openblas()
-    saved = get()
-    set_(count)
+    blas = _openblas()
+    saved = blas.get()
+    blas.set(count)
     try:
         yield
     finally:
-        set_(saved)
+        blas.set(saved)
 
 
 class ColumnKeepingTape(Tape):

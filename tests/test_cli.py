@@ -304,6 +304,7 @@ BAD_GENOMES = {
     "{unknown_stage_key}": ({"strde": 1}, {}),
     "{channels_huge}": ({"channels": 8 * 10 ** 200}, {}),
     "{num_classes_huge}": ({}, {"num_classes": 10 ** 300}),
+    "{conv_mode_foo}": ({"conv_mode": "foo"}, {}),
 }
 
 # (stage-0 fields, entry fields) overwritten in a one-entry archive of the
@@ -334,6 +335,7 @@ BAD_ARCHIVES = {
 DIGITS_5000 = b"9" * 5000
 NOT_JSON = {
     "{genome_bad_json}": lambda genome, lines: b"{nope",
+    "{archive_object}": lambda genome, lines: b'{"a": 1}',
     "{genome_deep}": lambda genome, lines: b"[" * 100000,
     "{genome_big_int}": lambda genome, lines: genome.replace(
         b'"family":"resnet_like"', b'"family":' + DIGITS_5000),
@@ -385,6 +387,14 @@ BAD_INPUT_CASES = [
     ([*SEARCH_FAST, "--conv-modes", "regular,group", "--channels", "16,24"],
      b"conv_modes"),
     ([*SEARCH_FAST, "--conv-modes", "regular,depthwise"], b"conv_modes"),
+    ([*SEARCH_FAST, "--conv-modes", "foo"], b"conv_modes: unknown mode 'foo'"),
+    ([*SEARCH_FAST, "--channels", "16,16,32"], b"channel_choices: 16 is listed twice"),
+    ([*SEARCH_FAST, "--channels", "16,a"],
+     b"--channels: expected comma-separated integers, got '16,a'"),
+    ([*SEARCH_FAST, "--channels", ","], b"--channels: empty list"),
+    *((["score", "{genome}", "--resolution", text, *FAST],
+       f"resolution must look like HxW, got '{text}'".encode())
+      for text in ("8x", "8xa", "8x8x8")),
     ([*SEARCH_FAST, "--threads", "0"], b"--threads"),
     (["score", "{genome}", "--threads", "0"], b"--threads"),
     (["correlate", "--records", "{records}", "--resolution", "0x0", *FAST],
@@ -393,12 +403,14 @@ BAD_INPUT_CASES = [
     (["latency", "{repeats_text}"], b"stages[0].repeats"),
     (["score", "{stride_bool}", *FAST], b"stages[0].stride"),
     (["latency", "{resolution_3d}"], b"input_resolution"),
+    (["latency", "{conv_mode_foo}"], b"stages[0].conv_mode: unknown mode 'foo'"),
     (["score", "{resnet_expansion_2}", *FAST], b"expansion"),
     (["score", "{stage_number}", *FAST], b"stages[0]: must be a JSON object, got 5"),
     (["latency", "{stages_text}"], b'stages: must be a JSON array, got "ab"'),
     (["score", "{resolution_number}", *FAST], b"input_resolution: must be a JSON array"),
     (["latency", "{unknown_genome_key}"], b"expanson: unknown field"),
     (["score", "{unknown_stage_key}", *FAST], b"stages[0].strde: unknown field"),
+    (["pareto-plotdata", "{archive_object}"], b"archive_object: archive must be a JSON array"),
     (["pareto-plotdata", "{archive_nan_score}"], b"entry 0: zico_bc"),
     (["pareto-plotdata", "{archive_text_score}"], b"entry 0: score"),
     (["pareto-plotdata", "{archive_inf_latency}"], b"entry 0: latency_us"),
@@ -462,6 +474,10 @@ BAD_MANIFESTS = {
                         b"manifest subcommand: must be a JSON string"),
     "not_utf8": (lambda m: b"\xff\xfe" + json.dumps(m).encode(),
                  b"not_utf8.manifest.json: 'utf-8' codec can't decode"),
+    # the genome file digested under a name that no longer exists
+    "input_deleted": (lambda m: {**m, "input_digests": {
+        path + ".deleted": digest for path, digest in m["input_digests"].items()}},
+        b"manifest input unreadable: [Errno 2] No such file or directory"),
 }
 
 

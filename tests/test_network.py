@@ -28,6 +28,8 @@ from zicobc.network import (
     genome_from_dict,
     genome_to_json,
     init_weights,
+    mode_is_legal,
+    resolve_groups,
 )
 from zicobc.search import (
     GenomeSpace,
@@ -74,6 +76,10 @@ INVALID_FIELDS = [
     ({}, {"num_classes": MAX_EXTENT + 1}, "num_classes: must be at most"),
     ({}, {"input_resolution": (MAX_EXTENT + 2, 8)}, "input_resolution[0]: must be at most"),
     ({}, {"input_resolution": (8, 10 ** 400)}, "input_resolution[1]: must be at most"),
+    ({"conv_mode": "foo"}, {}, "stages[0].conv_mode: unknown mode 'foo'"),
+    # a list would compare unequal to the tuple genome and not hash
+    ({}, {"input_resolution": [8, 8]}, "input_resolution: need a tuple of 2 extents"),
+    ({}, {"stages": [StageGene(1, 32, 3, "regular", 1)]}, "stages: must be a tuple, got list"),
 ]
 
 
@@ -92,6 +98,12 @@ class TestValidation:
                 stages=(StageGene(1, 16, 3, "regular", 2),
                         StageGene(1, 16, 3, "regular", 2)),
                 stem_channels=8, num_classes=4, input_resolution=(6, 6))
+
+    @pytest.mark.parametrize("family", ["resnet_like", "effnet_like"])
+    def test_unknown_mode_is_never_legal(self, family):
+        assert not mode_is_legal(family, 64, "foo")
+        with pytest.raises(GenomeError, match="^conv_mode: unknown mode 'foo'$"):
+            resolve_groups(family, 32, "foo", 4)
 
     def test_depthwise_only_for_effnet(self):
         with pytest.raises(GenomeError, match="depthwise"):
@@ -121,7 +133,7 @@ class TestValidation:
         with pytest.raises(GenomeError, match="^" + re.escape(named)):
             Genome(**{**vars(valid), "stages": stages, **fields})
         with pytest.raises(GenomeError, match="^" + re.escape(named)):
-            dataclasses.replace(valid, stages=stages, **fields)
+            dataclasses.replace(valid, **{"stages": stages, **fields})
 
 
 class _ShapeRecordingTape(Tape):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,35 @@ def brute_force_fronts(individuals):
     return fronts
 
 
+def random_population(rng, n_obj):
+    """Up to 24 members with tied values, -0.0 and repeated keys."""
+    n = int(rng.integers(1, 25))
+    values = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(n, n_obj))
+    drawn = rng.random((n, n_obj)) < 0.3
+    values[drawn] = rng.normal(size=int(drawn.sum()))
+    keys = rng.integers(0, n // 2 + 1, size=n)
+    return [make_ind(tuple(row), key=str(k)) for row, k in zip(values.tolist(), keys)]
+
+
+def straight_line_crowding(front):
+    """The standard crowding formula, each objective walked in (value, key) order."""
+    n = len(front)
+    expected = [0.0] * n
+    for m in range(len(front[0].objectives)):
+        values = [ind.objectives[m] for ind in front]
+        order = sorted(range(n), key=lambda i: (values[i], front[i].key))
+        expected[order[0]] = expected[order[-1]] = math.inf
+        span = values[order[-1]] - values[order[0]]
+        if span == 0:
+            continue
+        for pos in range(1, n - 1):
+            i = order[pos]
+            if expected[i] == math.inf:
+                continue
+            expected[i] += (values[order[pos + 1]] - values[order[pos - 1]]) / span
+    return expected
+
+
 class ToySpace:
     """Integer genome x in [0, 31]; used with objectives (x^2, (x-16)^2)."""
 
@@ -86,15 +116,20 @@ class TestNonDominatedSort:
 
     def test_matches_brute_force_on_random_populations(self):
         rng = np.random.default_rng(101)
-        for _ in range(40):
-            pop = [make_ind(tuple(rng.integers(0, 10, size=2).astype(float)),
-                            key=str(i))
-                   for i in range(64)]
+        populations = [[make_ind(tuple(rng.integers(0, 10, size=2).astype(float)),
+                                 key=str(i)) for i in range(64)]
+                       for _ in range(40)]
+        populations += [random_population(rng, n_obj)
+                        for n_obj in (1, 2, 3) for _ in range(100)]
+        for pop in populations:
             fronts = non_dominated_sort(pop)
             index_of = {id(ind): i for i, ind in enumerate(pop)}
-            got = [sorted(index_of[id(ind)] for ind in front) for front in fronts]
-            assert got == brute_force_fronts(pop)
-            assert sum(len(f) for f in fronts) == len(pop)
+            expected = brute_force_fronts(pop)
+            # members keep population order within their front
+            assert [[index_of[id(ind)] for ind in front] for front in fronts] == expected
+            ranks = {i: rank for rank, front in enumerate(expected) for i in front}
+            assert [ind.rank for ind in pop] == [ranks[i] for i in range(len(pop))]
+            assert all(type(ind.rank) is int for ind in pop)
 
     def test_nan_objective_rejected(self):
         with pytest.raises(ObjectiveError, match="NaN"):
@@ -117,28 +152,14 @@ class TestCrowdingDistance:
 
     def test_matches_straight_line_reimplementation(self):
         rng = np.random.default_rng(102)
-        for _ in range(20):
-            objs = rng.normal(size=(12, 2))
-            front = [make_ind(tuple(row), key=str(i)) for i, row in enumerate(objs)]
+        fronts = [[make_ind(tuple(row), key=str(i))
+                   for i, row in enumerate(rng.normal(size=(12, 2)).tolist())]
+                  for _ in range(20)]
+        fronts += [random_population(rng, n_obj) for n_obj in (1, 2, 3) for _ in range(100)]
+        for front in fronts:
             crowding_distance(front)
-
-            # independent reimplementation of the standard formula
-            n = len(front)
-            expected = [0.0] * n
-            for m in range(2):
-                order = sorted(range(n), key=lambda i: objs[i][m])
-                expected[order[0]] = expected[order[-1]] = math.inf
-                span = objs[order[-1]][m] - objs[order[0]][m]
-                if span == 0:
-                    continue
-                for pos in range(1, n - 1):
-                    i = order[pos]
-                    if expected[i] == math.inf:
-                        continue
-                    expected[i] += (objs[order[pos + 1]][m] -
-                                    objs[order[pos - 1]][m]) / span
-            for ind, want in zip(front, expected):
-                assert ind.crowding == pytest.approx(want)
+            assert [ind.crowding.hex() for ind in front] == \
+                [x.hex() for x in straight_line_crowding(front)]
 
 
 class TestParetoArchive:
@@ -374,6 +395,21 @@ class TestGenomeSpace:
             GenomeSpace(family="resnet_like", strides=(1,),
                         channel_choices=(16,), repeat_choices=(1,),
                         expansion_choices=(2, 4))
+
+    @pytest.mark.parametrize("field,values,named", [
+        ("channel_choices", (16, 32, 16), "channel_choices: 16 is listed twice"),
+        ("repeat_choices", (1, 2, 2), "repeat_choices: 2 is listed twice"),
+        ("kernel_choices", (3, 3), "kernel_choices: 3 is listed twice"),
+        ("expansion_choices", (2, 4, 2), "expansion_choices: 2 is listed twice"),
+        ("conv_modes", ("regular", "group", "regular"),
+         "conv_modes: 'regular' is listed twice"),
+        ("conv_modes", ("regular", "foo"), "conv_modes: unknown mode 'foo'"),
+    ])
+    def test_bad_choice_list_raises_naming_field(self, field, values, named):
+        with pytest.raises(SearchConfigError, match=f"^{re.escape(named)}$"):
+            GenomeSpace(**{"family": "effnet_like", "strides": (1,),
+                           "channel_choices": (16, 32), "repeat_choices": (1, 2),
+                           field: values})
 
     @given(family=st.sampled_from(FAMILIES),
            channels=st.lists(st.sampled_from(range(8, 161, 8)), min_size=1,

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -144,6 +145,24 @@ class TestForwardOps:
         with pytest.raises(ShapeMismatchError, match="dense"):
             tape.dense(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
+        def ones(*shape):
+            return Tensor(np.ones(shape))
+
+        for op, message in [
+            (lambda: tape.conv2d(ones(1, 3, 4), ones(2, 3, 3, 3)),
+             "conv2d: input must be 4-d, got (1, 3, 4)"),
+            (lambda: tape.conv2d(ones(1, 3, 4, 4), ones(4, 1, 3, 3), groups=2),
+             "conv2d: channels (3 in, 4 out) not divisible by groups 2"),
+            (lambda: tape.conv2d(ones(1, 2, 2, 2), ones(2, 2, 5, 5), padding=1),
+             "conv2d: kernel 5x5 stride 1 on 2x2 input gives non-positive output extent"),
+            (lambda: tape.dense(ones(2, 3), ones(4, 3), ones(3)),
+             "dense: bias shape (3,) != (4,)"),
+            (lambda: tape.cross_entropy_loss(ones(2, 3), [[0], [1]]),
+             "cross_entropy_loss: labels shape (2, 1) != (2,)"),
+        ]:
+            with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+                op()
+
 
 class TestBackward:
     def test_linear_gradient(self):
@@ -211,6 +230,18 @@ class TestBackward:
         z = tape.dense(y, a)   # then as a parameter: z = a^2 * b
         tape.backward(z)
         assert tape.grad(a).item() == 12.0  # 2ab: both uses reach a
+
+    def test_grad_before_backward_or_of_non_parameter(self):
+        tape = Tape()
+        w = Tensor([[0.37]])
+        y = tape.dense(Tensor([[2.0]]), w)
+        with pytest.raises(TapeError) as excinfo:
+            tape.grad(w)
+        assert str(excinfo.value) == "grad() called before backward()"
+        tape.backward(y)
+        with pytest.raises(TapeError) as excinfo:
+            tape.grad(Tensor([[0.37]]))
+        assert str(excinfo.value) == "tensor is not a parameter on this tape"
 
     def test_second_backward_raises(self):
         tape = Tape()
